@@ -11,6 +11,7 @@ from .graphs import (
     EMPTY_GRAPH,
     Edge,
     LongEdgeGraph,
+    allowable_profile,
     automorphism_count,
     automorphism_count_with,
     cogenus,

@@ -2,7 +2,8 @@
 
 Every numeric value is printed exactly, as a decimal or "p/q" string;
 nothing here ever goes through floating point.  Exit codes: 0 success,
-1 verification failure, 2 usage or guard error.
+1 verification failure, 2 usage or guard error, 3 internal error (an
+invariant violation, reported as "internal error: ..." on stderr).
 """
 
 from __future__ import annotations
@@ -81,12 +82,10 @@ def _cmd_severi(args) -> int:
     started = time.perf_counter()
     if not (0 <= args.delta <= SEVERI_MAX_DELTA):
         raise ValueError(f"--delta must be in 0..{SEVERI_MAX_DELTA}")
-    if args.d < 1:
-        raise ValueError("--d must be >= 1")
     if args.method == "floor":
         value = fmcount(args.d, args.delta)
     else:
-        value = severi_degree(args.d, args.delta, jobs=args.jobs)
+        value = severi_degree(args.d, args.delta)
     record = _record(
         "severi",
         {"d": args.d, "delta": args.delta},
@@ -209,6 +208,17 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """Argument type of --d and --jobs: an integer >= 1, else exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="longedge",
@@ -222,10 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_templates)
 
     p = sub.add_parser("severi", help="Severi degree N^{d,delta}")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--method", choices=("templates", "floor"), default="templates")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1, help="ignored")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_severi)
 
@@ -235,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_node_poly)
 
     p = sub.add_parser("q", help="log-series coefficient Q^{d,delta}")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--route", choices=("templates", "log"), default="templates")
     p.add_argument("--json", action="store_true")
@@ -243,14 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("n-graph", help="weighted ordering count of a graph file")
     p.add_argument("--graph", required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--k", type=int, default=0, help="extra rightward offset")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_n_graph)
 
     p = sub.add_parser("q-graph", help="log quantity of a graph file")
     p.add_argument("--graph", required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--k", type=int, default=0, help="extra rightward offset")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_q_graph)
@@ -267,12 +277,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

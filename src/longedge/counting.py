@@ -10,15 +10,13 @@ arithmetic, never floating point.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .graphs import (
     LongEdgeGraph,
+    allowable_profile,
     automorphism_count,
-    is_allowable,
     multiplicity,
-    weight_profile,
 )
 from .templates import enumerate_graphs
 
@@ -40,33 +38,38 @@ def enumerate_distributions(g: LongEdgeGraph) -> list[tuple[int, ...]]:
     return list(itertools.product(*spans))
 
 
-def n_star(g: LongEdgeGraph, dist: Sequence[int], d: int) -> int:
-    """Ordering count for labeled edges under one midpoint distribution.
-
-    Zero when the graph is not allowable for d; otherwise the product over
-    gaps i of the falling factorial (i - w_i + m_i)_(m_i), which is
-    strictly positive.
-    """
-    if not is_allowable(g, d):
-        return 0
-    w = weight_profile(g)
+def gap_product(profile: Mapping[int, int], gaps: Iterable[int]) -> int:
+    """Product over gaps i of the falling factorial (i - w_i + m_i)_(m_i),
+    where w is the weight profile and m_i counts the midpoints placed in
+    gap i; strictly positive when the profile is allowable."""
     m: dict[int, int] = {}
-    for gap in dist:
+    for gap in gaps:
         m[gap] = m.get(gap, 0) + 1
     out = 1
     for gap, mi in m.items():
-        out *= falling_factorial(gap - w.get(gap, 0) + mi, mi)
+        out *= falling_factorial(gap - profile.get(gap, 0) + mi, mi)
     return out
+
+
+def n_star(g: LongEdgeGraph, dist: Sequence[int], d: int) -> int:
+    """Ordering count for labeled edges under one midpoint distribution:
+    zero when the graph is not allowable for d, else its gap product."""
+    w = allowable_profile(g, d)
+    return 0 if w is None else gap_product(w, dist)
 
 
 def n_graph(g: LongEdgeGraph, d: int) -> int:
     """Full weighted ordering count: multiplicity times the labeled count
     summed over all distributions, divided by the automorphism count.
 
-    The division is always exact (automorphisms act freely on labeled
-    orderings); a remainder indicates a bug and aborts loudly.
+    A graph that is not allowable costs no distribution.  The division is
+    always exact (automorphisms act freely on labeled orderings); a
+    remainder indicates a bug and aborts loudly.
     """
-    total = sum(n_star(g, dist, d) for dist in enumerate_distributions(g))
+    w = allowable_profile(g, d)
+    if w is None:
+        return 0
+    total = sum(gap_product(w, dist) for dist in enumerate_distributions(g))
     alpha = automorphism_count(g)
     q, r = divmod(multiplicity(g) * total, alpha)
     if r:
@@ -77,30 +80,11 @@ def n_graph(g: LongEdgeGraph, d: int) -> int:
     return q
 
 
-def _chunk_sum(args: tuple[list[LongEdgeGraph], int]) -> int:
-    graphs, d = args
-    return sum(n_graph(g, d) for g in graphs)
-
-
-def severi_degree(d: int, delta: int, jobs: int = 1) -> int:
+def severi_degree(d: int, delta: int) -> int:
     """Number of degree-d plane curves with delta nodes through the
     matching number of general points: the sum of n_graph over all
-    allowable long-edge graphs of cogenus delta.
-
-    ``jobs`` > 1 splits the sum into per-process chunks; exact integer
-    addition commutes, so the result is identical for any job count.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if jobs == 1:
-        return sum(n_graph(g, d) for g in enumerate_graphs(delta, d))
-    graphs = list(enumerate_graphs(delta, d))
-    if not graphs:
-        return 0
-    size = max(1, -(-len(graphs) // jobs))
-    chunks = [(graphs[i : i + size], d) for i in range(0, len(graphs), size)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return sum(pool.map(_chunk_sum, chunks))
+    allowable long-edge graphs of cogenus delta."""
+    return sum(n_graph(g, d) for g in enumerate_graphs(delta, d))
 
 
 def _distinct_permutations(tokens: tuple) -> Iterable[tuple]:
@@ -129,11 +113,11 @@ def orderings_oracle(
     Refuses to run when the extension holds more than ``max_tokens`` edges
     over the graph's span.
     """
-    if not is_allowable(g, d):
+    w = allowable_profile(g, d)
+    if w is None:
         return 0
     if g.is_empty:
         return 1
-    w = weight_profile(g)
     lo, hi = g.left_end, g.right_end
     span_gaps = [i for i in range(lo, hi) if i <= d]
     shorts = {i: i - w.get(i, 0) for i in span_gaps}

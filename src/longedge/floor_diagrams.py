@@ -15,7 +15,14 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .counting import DEFAULT_ORACLE_TOKENS, orderings_oracle
-from .graphs import LongEdgeGraph, automorphism_count, is_allowable, make_graph, weight_profile
+from .graphs import (
+    LongEdgeGraph,
+    allowable_profile,
+    automorphism_count,
+    disjoint_union,
+    make_graph,
+    multiplicity,
+)
 
 MAX_DIAGRAM_DEGREE = 5
 MAX_DIAGRAM_COGENUS = 3
@@ -68,11 +75,11 @@ def make_diagram(degree: int, triples: Iterable[tuple[int, int, int]]) -> FloorD
 def from_long_edge(g: LongEdgeGraph, d: int) -> FloorDiagram:
     """Floor diagram of an allowable graph: its edges plus the implied
     short edges per gap, with everything touching vertex d+1 erased."""
-    if not is_allowable(g, d):
+    w = allowable_profile(g, d)
+    if w is None:
         raise ValueError(f"graph is not allowable for d={d}")
     if g.edges and g.left_end < 1:
         raise ValueError("graph edges must lie within vertices 1..d+1")
-    w = weight_profile(g)
     triples = [(e.start, e.end, e.weight) for e in g.edges if e.end <= d]
     for i in range(1, d):
         triples.extend([(i, i + 1, 1)] * (i - w.get(i, 0)))
@@ -94,14 +101,9 @@ def restored_long_edge(diagram: FloorDiagram) -> LongEdgeGraph:
     then erase all short edges.  Always allowable for d = degree."""
     d = diagram.degree
     div = divergences(diagram)
-    triples = [
-        (e.source, e.target, e.weight)
-        for e in diagram.edges
-        if not (e.target - e.source == 1 and e.weight == 1)
-    ]
-    for v in range(1, d):  # v = d would only add short edges
-        triples.extend([(v, d + 1, 1)] * (1 - div[v]))
-    return make_graph(triples)
+    # v = d would only add short edges
+    top_up = [(v, d + 1, 1) for v in range(1, d) for _ in range(1 - div[v])]
+    return disjoint_union([to_long_edge(diagram), make_graph(top_up)])
 
 
 def _components(diagram: FloorDiagram) -> list[tuple[int, int]]:
@@ -150,11 +152,9 @@ def fd_cogenus(diagram: FloorDiagram) -> int:
 
 
 def fd_multiplicity(diagram: FloorDiagram) -> int:
-    """Product of squared weights over all diagram edges."""
-    mu = 1
-    for e in diagram.edges:
-        mu *= e.weight * e.weight
-    return mu
+    """Product of squared weights over all diagram edges; the erased short
+    edges have weight 1, so this is the multiplicity of the long-edge graph."""
+    return multiplicity(to_long_edge(diagram))
 
 
 def marking_count(

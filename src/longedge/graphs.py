@@ -128,21 +128,26 @@ def weight_profile(g: LongEdgeGraph) -> dict[int, int]:
     return profile
 
 
-def is_allowable(g: LongEdgeGraph, d: int) -> bool:
-    """Whether the graph fits the degree-d counting window.
-
-    Requires: no edge past vertex d+1, only weight-1 edges touching d+1,
-    and weight over gap [i, i+1] at most i everywhere.
-    """
+def allowable_profile(g: LongEdgeGraph, d: int) -> dict[int, int] | None:
+    """Weight profile if the graph fits the degree-d counting window, else
+    None: no edge past vertex d+1, only weight-1 edges touching d+1, and
+    weight over gap [i, i+1] at most i everywhere (one pass; weights are
+    positive, so a gap over its bound part-way stays over it)."""
+    profile: dict[int, int] = {}
     for e in g.edges:
-        if e.end > d + 1:
-            return False
-        if e.end == d + 1 and e.weight != 1:
-            return False
-    for i, wi in weight_profile(g).items():
-        if wi > i:
-            return False
-    return True
+        if e.end > d + 1 or (e.end == d + 1 and e.weight != 1):
+            return None
+        for i in range(e.start, e.end):
+            wi = profile.get(i, 0) + e.weight
+            if wi > i:
+                return None
+            profile[i] = wi
+    return profile
+
+
+def is_allowable(g: LongEdgeGraph, d: int) -> bool:
+    """Whether the graph fits the degree-d counting window."""
+    return allowable_profile(g, d) is not None
 
 
 def offset(g: LongEdgeGraph, k: int) -> LongEdgeGraph:

@@ -17,17 +17,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .counting import (
     enumerate_distributions,
-    falling_factorial,
+    gap_product,
     n_graph,
     severi_degree,
 )
 from .graphs import (
     LongEdgeGraph,
+    allowable_profile,
     automorphism_count,
     multiplicity,
     offset,
@@ -62,51 +64,53 @@ def set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     yield from rec(0, [])
 
 
-def _block_n_star(
-    g: LongEdgeGraph, dist: Sequence[int], d: int, block: tuple[int, ...]
-) -> int:
-    """Labeled ordering count of the positioned subgraph on ``block``,
-    with the inherited distribution; 0 when that subgraph is not allowable."""
-    w: dict[int, int] = {}
-    for idx in block:
-        e = g.edges[idx]
-        if e.end > d + 1 or (e.end == d + 1 and e.weight != 1):
-            return 0
-        for i in range(e.start, e.end):
-            w[i] = w.get(i, 0) + e.weight
-    if any(wi > i for i, wi in w.items()):
-        return 0
-    m: dict[int, int] = {}
-    for idx in block:
-        gap = dist[idx]
-        m[gap] = m.get(gap, 0) + 1
-    out = 1
-    for gap, mi in m.items():
-        out *= falling_factorial(gap - w.get(gap, 0) + mi, mi)
-    return out
+def _partition_sum(n: int, value: Callable[[tuple[int, ...]], int]) -> int:
+    """Sum over set partitions of {0, ..., n-1} of (-1)^(p-1) (p-1)! times
+    the product of ``value`` over the p blocks; ``value`` is evaluated at
+    most once per block."""
+    cache: dict[tuple[int, ...], int] = {}
+    total = 0
+    for partition in set_partitions(n):
+        p = len(partition)
+        term = (-1) ** (p - 1) * factorial(p - 1)
+        for block in partition:
+            if block not in cache:
+                cache[block] = value(block)
+            term *= cache[block]
+            if term == 0:
+                break
+        total += term
+    return total
+
+
+_BlockProfiles = Mapping[tuple[int, ...], Mapping[int, int] | None]
+
+
+def _block_profiles(g: LongEdgeGraph, d: int) -> _BlockProfiles:
+    """allowable_profile of the positioned subgraph on every nonempty block
+    of edge labels, keyed by the ascending label tuple."""
+    return {
+        block: allowable_profile(LongEdgeGraph(tuple(g.edges[i] for i in block)), d)
+        for size in range(1, g.n_edges + 1)
+        for block in combinations(range(g.n_edges), size)
+    }
+
+
+def _q_star(profiles: _BlockProfiles, dist: Sequence[int], n: int) -> int:
+    """q_star from the block profiles of a graph with n edges."""
+
+    def value(block: tuple[int, ...]) -> int:
+        w = profiles[block]
+        return 0 if w is None else gap_product(w, (dist[i] for i in block))
+
+    return _partition_sum(n, value)
 
 
 def q_star(g: LongEdgeGraph, dist: Sequence[int], d: int) -> int:
     """Alternating sum over set partitions of the labeled edges of the
     products of block ordering counts; blocks keep their positions and
     inherit the distribution.  Always an integer."""
-    cache: dict[tuple[int, ...], int] = {}
-
-    def value(block: tuple[int, ...]) -> int:
-        if block not in cache:
-            cache[block] = _block_n_star(g, dist, d, block)
-        return cache[block]
-
-    total = 0
-    for partition in set_partitions(g.n_edges):
-        p = len(partition)
-        term = (-1) ** (p - 1) * factorial(p - 1)
-        for block in partition:
-            term *= value(block)
-            if term == 0:
-                break
-        total += term
-    return total
+    return _q_star(_block_profiles(g, d), dist, g.n_edges)
 
 
 def q_graph(g: LongEdgeGraph, d: int) -> Fraction:
@@ -114,9 +118,13 @@ def q_graph(g: LongEdgeGraph, d: int) -> Fraction:
     automorphisms times the partition sum, over all labeled distributions.
 
     Zero whenever the graph is not a translated template, including at
-    offsets where the graph itself is not allowable.
+    offsets where the graph itself is not allowable.  Block profiles are
+    resolved once per graph, not once per distribution.
     """
-    total = sum(q_star(g, dist, d) for dist in enumerate_distributions(g))
+    profiles = _block_profiles(g, d)
+    total = sum(
+        _q_star(profiles, dist, g.n_edges) for dist in enumerate_distributions(g)
+    )
     return Fraction(multiplicity(g) * total, automorphism_count(g))
 
 
@@ -124,17 +132,12 @@ def q_graph_partition_form(g: LongEdgeGraph, d: int) -> Fraction:
     """Same value as :func:`q_graph`, computed from whole-subgraph counts:
     alternating partition sum of products of automorphism-weighted
     n_graph values.  Kept as an equality cross-check."""
-    total = 0
-    for partition in set_partitions(g.n_edges):
-        p = len(partition)
-        term = (-1) ** (p - 1) * factorial(p - 1)
-        for block in partition:
-            sub = LongEdgeGraph(tuple(g.edges[i] for i in sorted(block)))
-            term *= automorphism_count(sub) * n_graph(sub, d)
-            if term == 0:
-                break
-        total += term
-    return Fraction(total, automorphism_count(g))
+
+    def value(block: tuple[int, ...]) -> int:
+        sub = LongEdgeGraph(tuple(g.edges[i] for i in block))
+        return automorphism_count(sub) * n_graph(sub, d)
+
+    return Fraction(_partition_sum(g.n_edges, value), automorphism_count(g))
 
 
 def q_delta_templates(d: int, delta: int) -> Fraction:
@@ -244,18 +247,11 @@ def sigma(h: SimpleGraphH) -> int:
     for u, v in h.edges:
         adjacency[u].add(v)
         adjacency[v].add(u)
-    total = 0
-    for partition in set_partitions(h.n):
-        ok = True
-        for block in partition:
-            members = set(block)
-            if any(adjacency[a] & members for a in block):
-                ok = False
-                break
-        if ok:
-            p = len(partition)
-            total += (-1) ** (p - 1) * factorial(p - 1)
-    return total
+
+    def independent(block: tuple[int, ...]) -> int:
+        return int(not any(adjacency[a].intersection(block) for a in block))
+
+    return _partition_sum(h.n, independent)
 
 
 def chromatic_polynomial(h: SimpleGraphH) -> list[int]:

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
+import longedge.cli as cli
 from longedge.cli import main
 
 GEX_TEXT = "3 5 1\n4 5 2\n4 6 1\n"
@@ -14,6 +18,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def usage_error(capsys, *argv):
+    """Exit code and stderr of a command that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
 
 
 class TestSeveri:
@@ -67,6 +78,20 @@ class TestSeveri:
         _, out1, _ = run_cli(capsys, "severi", "--d", "6", "--delta", "2", "--jobs", "1")
         _, out4, _ = run_cli(capsys, "severi", "--d", "6", "--delta", "2", "--jobs", "4")
         assert out1 == out4
+
+    def test_jobs_start_no_process(self, capsys, monkeypatch):
+        def no_fork():
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        code, out, _ = run_cli(capsys, "severi", "--d", "6", "--delta", "2", "--jobs", "4")
+        assert code == 0
+        assert out.strip() == "2370"
+
+    def test_jobs_below_one_exit_2(self, capsys):
+        code, err = usage_error(capsys, "severi", "--d", "4", "--delta", "1", "--jobs", "0")
+        assert code == 2
+        assert "--jobs" in err
 
     def test_repeat_byte_identical(self, capsys):
         _, out1, _ = run_cli(capsys, "severi", "--d", "7", "--delta", "2")
@@ -194,6 +219,35 @@ class TestVerify:
         assert code == 1
         assert "ordering-formula-vs-oracle" in out
         assert "FAILED" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("severi", "--delta", "1"),
+        ("q", "--delta", "1"),
+        ("n-graph", "--graph", "unused.txt"),
+        ("q-graph", "--graph", "unused.txt"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_degree_below_one_exit_2(capsys, argv):
+    code, err = usage_error(capsys, *argv, "--d", "-5")
+    assert code == 2
+    assert "--d" in err
+
+
+def test_internal_error_exit_3(capsys, monkeypatch, tmp_path):
+    def broken(g, d):
+        raise RuntimeError("internal invariant violation: test")
+
+    monkeypatch.setattr(cli, "n_graph", broken)
+    path = tmp_path / "gex.txt"
+    path.write_text(GEX_TEXT)
+    code, out, err = run_cli(capsys, "n-graph", "--graph", str(path), "--d", "5")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: internal invariant violation")
 
 
 class TestEntryPoint:

@@ -108,6 +108,18 @@ class TestNGraph:
             for d in range(1, 9):
                 assert (n_graph(g, d) == 0) == (not is_allowable(g, d))
 
+    def test_not_allowable_enumerates_no_distribution(self, monkeypatch):
+        import longedge.counting as counting
+
+        def forbidden(g):
+            raise AssertionError("distributions enumerated for a non-allowable graph")
+
+        monkeypatch.setattr(counting, "enumerate_distributions", forbidden)
+        # five long edges of span 30: about 24 million distributions
+        wide = make_graph([(0, 30, 1), (1, 31, 1), (2, 32, 1), (3, 33, 1), (4, 34, 1)])
+        assert n_graph(wide, 5) == 0
+        assert n_graph(GEX, 4) == 0
+
     def test_multiplicative_over_decomposition(self):
         rng = random.Random(17)
         found = 0
@@ -169,14 +181,6 @@ class TestSeveriDegree:
 
     def test_two_nodes_on_quartics(self):
         assert severi_degree(4, 2) == 225
-
-    def test_jobs_do_not_change_result(self):
-        assert severi_degree(6, 2, jobs=3) == severi_degree(6, 2, jobs=1)
-        assert severi_degree(3, 0, jobs=2) == 1
-
-    def test_bad_jobs(self):
-        with pytest.raises(ValueError):
-            severi_degree(4, 1, jobs=0)
 
 
 class TestOrderingsOracle:

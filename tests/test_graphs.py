@@ -6,6 +6,7 @@ import pytest
 
 from longedge import (
     EMPTY_GRAPH,
+    allowable_profile,
     automorphism_count,
     automorphism_count_with,
     cogenus,
@@ -114,6 +115,17 @@ class TestAllowability:
     def test_empty_always_allowable(self):
         for d in range(1, 10):
             assert is_allowable(EMPTY_GRAPH, d)
+
+    def test_profile_is_weight_profile_or_none(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            g = random_graph(rng, 4)
+            w = weight_profile(g)
+            for d in range(1, 14):
+                fits = all(
+                    e.end < d + 1 or (e.end == d + 1 and e.weight == 1) for e in g.edges
+                ) and all(wi <= i for i, wi in w.items())
+                assert allowable_profile(g, d) == (w if fits else None)
 
     def test_monotone_in_d(self):
         rng = random.Random(11)

@@ -107,12 +107,18 @@ class TestQGraph:
                 assert all(x == 0 for x in second)
 
     def test_matches_subgraph_partition_form(self):
+        # every offset 0..d+1, as q_delta_templates sums them: 184 of the
+        # cases have a non-allowable whole graph, 72 of those with some
+        # allowable block and 31 with a nonzero value
+        cases = 0
         for delta in (1, 2, 3):
             for t in enumerate_templates(delta):
-                k = min_allowable_offset(t)
-                g = offset(t, k)
-                d = g.right_end + 2
-                assert q_graph(g, d) == q_graph_partition_form(g, d)
+                d = t.right_end + 3
+                for k in range(0, d + 2):
+                    g = offset(t, k)
+                    assert q_graph(g, d) == q_graph_partition_form(g, d), (g, d)
+                    cases += 1
+        assert cases == 259
 
     def test_partition_form_on_unions(self):
         rng = random.Random(53)
