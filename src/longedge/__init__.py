@@ -29,11 +29,11 @@ from .graphs import (
     weight_profile,
 )
 from .templates import (
-    TemplateCatalog,
     allowable_offsets,
     enumerate_graphs,
     enumerate_templates,
     min_allowable_offset,
+    placements,
 )
 from .counting import (
     enumerate_distributions,

@@ -43,7 +43,7 @@ from .qcalc import (
     q_star,
     sigma,
 )
-from .templates import enumerate_templates, min_allowable_offset
+from .templates import enumerate_graphs, enumerate_templates, min_allowable_offset
 
 # Worked three-edge example of cogenus 3: one weighted edge nested under
 # two overlapping weight-1 edges.
@@ -240,6 +240,15 @@ def check_exp_log_roundtrip() -> str:
     return "exp recovers every Severi degree for cogenus <= 4, d <= 12"
 
 
+def check_placements_vs_graph_sum() -> str:
+    for d in range(1, 11):
+        for delta in range(0, 5):
+            via_graphs = sum(n_graph(g, d) for g in enumerate_graphs(delta, d))
+            got = severi_degree(d, delta)
+            assert got == via_graphs, f"severi_degree({d},{delta}) = {got} != {via_graphs}"
+    return "placement sum equals graph-by-graph sum for cogenus <= 4, d <= 10"
+
+
 def check_d_independence() -> str:
     checked = 0
     for delta in (1, 2, 3):
@@ -278,6 +287,7 @@ CRITERIA: tuple[Criterion, ...] = (
     Criterion("ordering-formula-vs-oracle", True, check_formula_vs_oracle),
     Criterion("exp-log-roundtrip", False, check_exp_log_roundtrip),
     Criterion("ngraph-d-independence", True, check_d_independence),
+    Criterion("severi-placements-vs-graph-sum", False, check_placements_vs_graph_sum),
 )
 
 

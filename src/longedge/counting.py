@@ -10,6 +10,7 @@ arithmetic, never floating point.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .graphs import (
@@ -18,7 +19,7 @@ from .graphs import (
     automorphism_count,
     multiplicity,
 )
-from .templates import enumerate_graphs
+from .templates import placements
 
 DEFAULT_ORACLE_TOKENS = 12
 
@@ -83,8 +84,20 @@ def n_graph(g: LongEdgeGraph, d: int) -> int:
 def severi_degree(d: int, delta: int) -> int:
     """Number of degree-d plane curves with delta nodes through the
     matching number of general points: the sum of n_graph over all
-    allowable long-edge graphs of cogenus delta."""
-    return sum(n_graph(g, d) for g in enumerate_graphs(delta, d))
+    allowable long-edge graphs of cogenus delta, summed left to right over
+    :func:`placements` (n_graph is multiplicative over them), memoized on
+    (next free vertex, remaining cogenus)."""
+
+    @lru_cache(maxsize=None)
+    def tail(start: int, remaining: int) -> int:
+        if remaining == 0:
+            return 1
+        return sum(
+            n_graph(piece, d) * tail(nxt, remaining - c)
+            for c, piece, nxt in placements(remaining, d, start)
+        )
+
+    return tail(0, delta)
 
 
 def _distinct_permutations(tokens: tuple) -> Iterable[tuple]:

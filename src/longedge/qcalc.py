@@ -119,9 +119,13 @@ def q_graph(g: LongEdgeGraph, d: int) -> Fraction:
 
     Zero whenever the graph is not a translated template, including at
     offsets where the graph itself is not allowable.  Block profiles are
-    resolved once per graph, not once per distribution.
+    resolved once per graph, not once per distribution; a single edge that
+    does not fit zeroes every block holding it (weights only grow), so
+    every partition term, and the graph costs no distribution.
     """
     profiles = _block_profiles(g, d)
+    if any(profiles[(i,)] is None for i in range(g.n_edges)):
+        return Fraction(0)
     total = sum(
         _q_star(profiles, dist, g.n_edges) for dist in enumerate_distributions(g)
     )

@@ -9,33 +9,16 @@ templates along the vertex line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 from .graphs import (
-    EMPTY_GRAPH,
     Edge,
     LongEdgeGraph,
     disjoint_union,
-    is_template,
     offset,
     weight_profile,
 )
-
-
-@dataclass(frozen=True)
-class TemplateCatalog:
-    """All templates of one cogenus, duplicate-free, canonically sorted."""
-
-    delta: int
-    templates: tuple[LongEdgeGraph, ...]
-
-    def __len__(self) -> int:
-        return len(self.templates)
-
-    def __iter__(self):
-        return iter(self.templates)
 
 
 def _candidate_edges(delta: int) -> list[Edge]:
@@ -45,48 +28,45 @@ def _candidate_edges(delta: int) -> list[Edge]:
     length*weight <= delta + 1; covering forces the right end <= delta + 1,
     hence start <= delta.
     """
-    out = []
-    for cog in range(1, delta + 1):
-        lw = cog + 1
-        for length in range(1, lw + 1):
-            if lw % length:
-                continue
-            w = lw // length
-            for s in range(0, delta + 2 - length):
-                out.append(Edge(s, s + length, w))
-    return sorted(out)
+    return sorted(
+        Edge(s, s + length, weight)
+        for length in range(1, delta + 2)
+        for weight in range(1, (delta + 1) // length + 1)
+        if length * weight > 1
+        for s in range(0, delta + 2 - length)
+    )
 
 
 @lru_cache(maxsize=None)
-def enumerate_templates(delta: int) -> TemplateCatalog:
-    """Complete catalog of templates with the given cogenus.
+def enumerate_templates(delta: int) -> tuple[LongEdgeGraph, ...]:
+    """Complete catalog of templates with the given cogenus, sorted.
 
-    Searches every edge multiset inside the bounding box [0, delta+1] with
-    total cogenus delta and keeps the ones that are templates.  delta = 0
-    yields the empty catalog (a long edge always has cogenus >= 1).
-    """
+    Candidates go by start; one starting at or past ``reach``, the largest
+    end so far, leaves vertex ``reach`` uncovered, as does every later one,
+    so each finished multiset is a template.  delta = 0 yields the empty
+    catalog (a long edge always has cogenus >= 1)."""
     if delta < 0:
         raise ValueError("cogenus must be nonnegative")
     if delta == 0:
-        return TemplateCatalog(0, ())
+        return ()
     candidates = _candidate_edges(delta)
     found: list[LongEdgeGraph] = []
 
-    def rec(start_idx: int, remaining: int, acc: list[Edge]) -> None:
+    def rec(start_idx: int, remaining: int, reach: int, acc: list[Edge]) -> None:
         if remaining == 0:
-            g = LongEdgeGraph(tuple(acc))
-            if is_template(g):
-                found.append(g)
+            found.append(LongEdgeGraph(tuple(acc)))
             return
         for i in range(start_idx, len(candidates)):
-            c = candidates[i].cogenus
-            if c <= remaining:
-                acc.append(candidates[i])
-                rec(i, remaining - c, acc)
+            edge = candidates[i]
+            if edge.start >= reach:
+                break
+            if edge.cogenus <= remaining:
+                acc.append(edge)
+                rec(i, remaining - edge.cogenus, max(reach, edge.end), acc)
                 acc.pop()
 
-    rec(0, delta, [])
-    return TemplateCatalog(delta, tuple(sorted(set(found))))
+    rec(0, delta, 1, [])
+    return tuple(found)
 
 
 def min_allowable_offset(template: LongEdgeGraph) -> int:
@@ -106,44 +86,35 @@ def allowable_offsets(template: LongEdgeGraph, d: int) -> range:
     return range(lo, hi + 1)
 
 
-def _compositions(total: int) -> Iterator[tuple[int, ...]]:
-    """Ordered compositions of ``total`` into positive parts, lexicographic."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
+def placements(delta: int, d: int, start: int) -> Iterator[tuple[int, LongEdgeGraph, int]]:
+    """Every allowable offset template of cogenus 1..delta with left end at
+    or after ``start``, as (cogenus, offset template, next free vertex).
+    A long-edge graph is the union of a unique left-to-right sequence of
+    such pieces, each at or after the previous one's right end."""
+    if delta < 0:
+        raise ValueError("cogenus must be nonnegative")
+    for c in range(1, delta + 1):
+        for template in enumerate_templates(c):
+            for k in allowable_offsets(template, d):
+                if k >= start:
+                    yield c, offset(template, k), k + template.right_end
 
 
 def enumerate_graphs(delta: int, d: int) -> Iterator[LongEdgeGraph]:
     """All long-edge graphs of cogenus delta allowable for d, lazily.
 
-    Graphs are assembled as ordered sequences of offset templates whose
-    spans do not overlap (sharing a boundary vertex is fine); uniqueness of
-    the template decomposition makes the stream duplicate-free.  Order is
-    deterministic: by composition, then template index, then offsets.
-    delta = 0 yields exactly the empty graph.
+    Graphs are unions of :func:`placements` sequences; uniqueness of the
+    template decomposition makes the stream duplicate-free.  Order is
+    deterministic, piece by piece.  delta = 0 yields the empty graph.
     """
-    if delta < 0:
-        raise ValueError("cogenus must be nonnegative")
-    if delta == 0:
-        yield EMPTY_GRAPH
-        return
 
-    def build(parts: tuple[int, ...], min_start: int, acc: list[LongEdgeGraph]):
-        if not parts:
+    def build(start: int, remaining: int, acc: list[LongEdgeGraph]):
+        if remaining == 0:
             yield disjoint_union(acc)
             return
-        catalog = enumerate_templates(parts[0])
-        for template in catalog:
-            span = template.right_end
-            for k in allowable_offsets(template, d):
-                if k < min_start:
-                    continue
-                acc.append(offset(template, k))
-                yield from build(parts[1:], k + span, acc)
-                acc.pop()
+        for c, piece, nxt in placements(remaining, d, start):
+            acc.append(piece)
+            yield from build(nxt, remaining - c, acc)
+            acc.pop()
 
-    for composition in _compositions(delta):
-        yield from build(composition, 0, [])
+    yield from build(0, delta, [])

@@ -182,6 +182,15 @@ class TestSeveriDegree:
     def test_two_nodes_on_quartics(self):
         assert severi_degree(4, 2) == 225
 
+    def test_assembles_no_graph(self, monkeypatch):
+        import longedge.templates as templates
+
+        def forbidden(parts):
+            raise AssertionError("severi_degree assembled a graph")
+
+        monkeypatch.setattr(templates, "disjoint_union", forbidden)
+        assert severi_degree(6, 3) == 41310
+
 
 class TestOrderingsOracle:
     def test_cyclops(self):

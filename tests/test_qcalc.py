@@ -120,6 +120,20 @@ class TestQGraph:
                     cases += 1
         assert cases == 259
 
+    def test_unfit_edge_enumerates_no_distribution(self, monkeypatch):
+        import longedge.qcalc as qcalc
+
+        def forbidden(g):
+            raise AssertionError("distributions enumerated with an unfit edge")
+
+        monkeypatch.setattr(qcalc, "enumerate_distributions", forbidden)
+        # five long edges of span 30, none fitting d = 5: 24 million distributions
+        wide = make_graph([(0, 30, 1), (1, 31, 1), (2, 32, 1), (3, 33, 1), (4, 34, 1)])
+        assert q_graph(wide, 5) == 0
+        # one unfit weight-2 stub beside an edge that fits
+        g = make_graph([(0, 1, 2), (3, 5, 1)])
+        assert q_graph(g, 6) == q_graph_partition_form(g, 6) == 0
+
     def test_partition_form_on_unions(self):
         rng = random.Random(53)
         for _ in range(40):

@@ -3,28 +3,34 @@ from __future__ import annotations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
 
 from longedge import (
     EMPTY_GRAPH,
     allowable_offsets,
     cogenus,
     decompose,
+    disjoint_union,
     enumerate_graphs,
     enumerate_templates,
     is_allowable,
     is_template,
     make_graph,
     min_allowable_offset,
+    n_graph,
     n_star,
     offset,
 )
 from longedge.counting import enumerate_distributions
 
+from conftest import long_edge_graphs
+
 CYCLOPS = make_graph([(0, 2, 1)])
 STUB = make_graph([(0, 1, 2)])
 
-# frozen by the generate-and-filter oracle below, run ahead of the build
-EXPECTED_TEMPLATE_COUNTS = {1: 2, 2: 7, 3: 26, 4: 102}
+# frozen by the generate-and-filter oracle below (1..5) and by the former
+# generate-and-filter catalog (6..8)
+EXPECTED_TEMPLATE_COUNTS = {1: 2, 2: 7, 3: 26, 4: 102, 5: 414, 6: 1711, 7: 7135, 8: 29913}
 
 
 def brute_force_edge_multisets(max_end, target_cogenus):
@@ -77,17 +83,18 @@ class TestEnumerateTemplates:
         with pytest.raises(ValueError):
             enumerate_templates(-1)
 
-    @pytest.mark.parametrize("delta", [1, 2, 3, 4])
+    @pytest.mark.parametrize("delta", sorted(EXPECTED_TEMPLATE_COUNTS))
     def test_counts_match_oracle(self, delta):
         catalog = enumerate_templates(delta)
         assert len(catalog) == EXPECTED_TEMPLATE_COUNTS[delta]
-        if delta <= 3:
+        if delta <= 5:
             assert set(catalog) == brute_force_templates(delta)
 
-    @pytest.mark.parametrize("delta", [1, 2, 3])
+    @pytest.mark.parametrize("delta", [1, 2, 3, 4, 5])
     def test_catalog_entries_are_templates(self, delta):
         catalog = enumerate_templates(delta)
-        assert len(set(catalog)) == len(catalog)
+        # strictly sorted: no duplicates, and the order `templates` prints
+        assert all(a < b for a, b in zip(catalog, catalog[1:]))
         for t in catalog:
             assert is_template(t)
             assert cogenus(t) == delta
@@ -173,6 +180,22 @@ class TestEnumerateGraphs:
         for g in enumerate_graphs(3, 5):
             for part, _ in decompose(g):
                 assert part in set(enumerate_templates(cogenus(part)))
+
+
+class TestDecompositionProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(long_edge_graphs(), long_edge_graphs())
+    def test_unique_split_into_catalog_templates(self, g, h):
+        for graph in (g, disjoint_union([g, offset(h, g.right_end)])):
+            parts = decompose(graph)
+            assert disjoint_union(offset(t, k) for t, k in parts) == graph
+            for t, _ in parts:
+                assert t in enumerate_templates(cogenus(t))
+            d = graph.right_end + 2
+            product = 1
+            for t, k in parts:
+                product *= n_graph(offset(t, k), d)
+            assert n_graph(graph, d) == product
 
 
 class TestOffsetPolynomialShape:
