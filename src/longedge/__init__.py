@@ -38,6 +38,7 @@ from .templates import (
 from .counting import (
     enumerate_distributions,
     falling_factorial,
+    labeled_count,
     n_graph,
     n_star,
     orderings_oracle,
@@ -53,7 +54,6 @@ from .qcalc import (
     q_delta_log,
     q_delta_templates,
     q_graph,
-    q_graph_partition_form,
     q_star,
     set_partitions,
     sigma,

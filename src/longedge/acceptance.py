@@ -17,18 +17,20 @@ from typing import Callable
 
 from .counting import (
     enumerate_distributions,
+    labeled_count,
     n_graph,
-    n_star,
     orderings_oracle,
     severi_degree,
 )
 from .floor_diagrams import fmcount
 from .graphs import (
     LongEdgeGraph,
+    automorphism_count,
     disjoint_union,
     is_allowable,
     is_offset_template,
     make_graph,
+    multiplicity,
     offset,
 )
 from .polynomials import RationalPolynomial, finite_differences, node_polynomial
@@ -149,6 +151,30 @@ def check_linearity() -> str:
     return f"second differences vanish for {checked} (template, distribution) pairs"
 
 
+def q_graph_by_distribution(g: LongEdgeGraph, d: int) -> Fraction:
+    """q_graph summed in the other order: one partition sum per
+    distribution, multiplicity over automorphisms times the q_star sum."""
+    total = sum(q_star(g, dist, d) for dist in enumerate_distributions(g))
+    return Fraction(multiplicity(g) * total, automorphism_count(g))
+
+
+def check_fubini_vs_distribution() -> str:
+    checked = 0
+    for delta in (1, 2, 3, 4):
+        for template in enumerate_templates(delta):
+            d = template.right_end + 3
+            for k in range(0, d + 2):
+                g = offset(template, k)
+                got = q_graph(g, d)
+                want = q_graph_by_distribution(g, d)
+                assert got == want, f"q_graph({g}, {d}) = {got}, per distribution {want}"
+                checked += 1
+    return (
+        f"q_graph equals the per-distribution q_star sum on {checked} "
+        f"offset templates of cogenus <= 4"
+    )
+
+
 def check_quadraticity() -> str:
     for delta in (1, 2, 3):
         values = [q_delta_templates(d, delta) for d in range(delta + 2, delta + 11)]
@@ -216,9 +242,7 @@ def check_formula_vs_oracle() -> str:
                 for d in (k + 2, k + 3):
                     if not is_allowable(g, d):
                         continue
-                    formula = sum(
-                        n_star(g, dist, d) for dist in enumerate_distributions(g)
-                    )
+                    formula = labeled_count(g, d)
                     oracle = orderings_oracle(g, d, max_tokens=ORACLE_TOKENS)
                     assert formula == oracle, (
                         f"formula {formula} != oracle {oracle} for {g} at d={d}"
@@ -288,6 +312,7 @@ CRITERIA: tuple[Criterion, ...] = (
     Criterion("exp-log-roundtrip", False, check_exp_log_roundtrip),
     Criterion("ngraph-d-independence", True, check_d_independence),
     Criterion("severi-placements-vs-graph-sum", False, check_placements_vs_graph_sum),
+    Criterion("qgraph-fubini-vs-distribution", False, check_fubini_vs_distribution),
 )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graphs import (
     LongEdgeGraph,
@@ -32,11 +32,11 @@ def falling_factorial(a: int, m: int) -> int:
     return out
 
 
-def enumerate_distributions(g: LongEdgeGraph) -> list[tuple[int, ...]]:
-    """Every assignment of one spanned gap to each edge, as tuples aligned
-    with the canonical edge order.  The empty graph has one empty assignment."""
-    spans = [range(e.start, e.end) for e in g.edges]
-    return list(itertools.product(*spans))
+def enumerate_distributions(g: LongEdgeGraph) -> Iterator[tuple[int, ...]]:
+    """Every assignment of one spanned gap to each edge, lazily, as tuples
+    aligned with the canonical edge order.  The empty graph has one empty
+    assignment."""
+    return itertools.product(*(range(e.start, e.end) for e in g.edges))
 
 
 def gap_product(profile: Mapping[int, int], gaps: Iterable[int]) -> int:
@@ -59,20 +59,25 @@ def n_star(g: LongEdgeGraph, dist: Sequence[int], d: int) -> int:
     return 0 if w is None else gap_product(w, dist)
 
 
-def n_graph(g: LongEdgeGraph, d: int) -> int:
-    """Full weighted ordering count: multiplicity times the labeled count
-    summed over all distributions, divided by the automorphism count.
-
-    A graph that is not allowable costs no distribution.  The division is
-    always exact (automorphisms act freely on labeled orderings); a
-    remainder indicates a bug and aborts loudly.
-    """
+def labeled_count(g: LongEdgeGraph, d: int) -> int:
+    """Ordering count for labeled edges: the gap product summed over all
+    distributions, with the profile resolved once.  A graph that is not
+    allowable counts 0 and costs no distribution."""
     w = allowable_profile(g, d)
     if w is None:
         return 0
-    total = sum(gap_product(w, dist) for dist in enumerate_distributions(g))
+    return sum(gap_product(w, dist) for dist in enumerate_distributions(g))
+
+
+def n_graph(g: LongEdgeGraph, d: int) -> int:
+    """Full weighted ordering count: multiplicity times the labeled count,
+    divided by the automorphism count.
+
+    The division is always exact (automorphisms act freely on labeled
+    orderings); a remainder indicates a bug and aborts loudly.
+    """
     alpha = automorphism_count(g)
-    q, r = divmod(multiplicity(g) * total, alpha)
+    q, r = divmod(multiplicity(g) * labeled_count(g, d), alpha)
     if r:
         raise RuntimeError(
             f"internal invariant violation: automorphism count {alpha} "

@@ -44,11 +44,12 @@ class FloorDiagram:
 
 
 def divergences(diagram: FloorDiagram) -> dict[int, int]:
-    """Out-weight minus in-weight at every vertex 1..degree."""
-    div = {v: 0 for v in range(1, diagram.degree + 1)}
+    """Out-weight minus in-weight at every vertex carrying an edge; every
+    other vertex has divergence 0."""
+    div: dict[int, int] = {}
     for e in diagram.edges:
-        div[e.source] += e.weight
-        div[e.target] -= e.weight
+        div[e.source] = div.get(e.source, 0) + e.weight
+        div[e.target] = div.get(e.target, 0) - e.weight
     return div
 
 
@@ -102,7 +103,7 @@ def restored_long_edge(diagram: FloorDiagram) -> LongEdgeGraph:
     d = diagram.degree
     div = divergences(diagram)
     # v = d would only add short edges
-    top_up = [(v, d + 1, 1) for v in range(1, d) for _ in range(1 - div[v])]
+    top_up = [(v, d + 1, 1) for v in range(1, d) for _ in range(1 - div.get(v, 0))]
     return disjoint_union([to_long_edge(diagram), make_graph(top_up)])
 
 

@@ -17,16 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb, factorial
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .counting import (
-    enumerate_distributions,
-    gap_product,
-    n_graph,
-    severi_degree,
-)
+from .counting import labeled_count, n_star, severi_degree
 from .graphs import (
     LongEdgeGraph,
     allowable_profile,
@@ -83,65 +77,40 @@ def _partition_sum(n: int, value: Callable[[tuple[int, ...]], int]) -> int:
     return total
 
 
-_BlockProfiles = Mapping[tuple[int, ...], Mapping[int, int] | None]
-
-
-def _block_profiles(g: LongEdgeGraph, d: int) -> _BlockProfiles:
-    """allowable_profile of the positioned subgraph on every nonempty block
-    of edge labels, keyed by the ascending label tuple."""
-    return {
-        block: allowable_profile(LongEdgeGraph(tuple(g.edges[i] for i in block)), d)
-        for size in range(1, g.n_edges + 1)
-        for block in combinations(range(g.n_edges), size)
-    }
-
-
-def _q_star(profiles: _BlockProfiles, dist: Sequence[int], n: int) -> int:
-    """q_star from the block profiles of a graph with n edges."""
-
-    def value(block: tuple[int, ...]) -> int:
-        w = profiles[block]
-        return 0 if w is None else gap_product(w, (dist[i] for i in block))
-
-    return _partition_sum(n, value)
+def _subgraph(g: LongEdgeGraph, block: tuple[int, ...]) -> LongEdgeGraph:
+    """The positioned subgraph on a block of edge labels."""
+    return LongEdgeGraph(tuple(g.edges[i] for i in block))
 
 
 def q_star(g: LongEdgeGraph, dist: Sequence[int], d: int) -> int:
     """Alternating sum over set partitions of the labeled edges of the
     products of block ordering counts; blocks keep their positions and
     inherit the distribution.  Always an integer."""
-    return _q_star(_block_profiles(g, d), dist, g.n_edges)
+    return _partition_sum(
+        g.n_edges,
+        lambda block: n_star(_subgraph(g, block), [dist[i] for i in block], d),
+    )
 
 
 def q_graph(g: LongEdgeGraph, d: int) -> Fraction:
     """Log-series coefficient attached to one graph: multiplicity over
-    automorphisms times the partition sum, over all labeled distributions.
+    automorphisms times the sum of :func:`q_star` over all labeled
+    distributions.
 
-    Zero whenever the graph is not a translated template, including at
-    offsets where the graph itself is not allowable.  Block profiles are
-    resolved once per graph, not once per distribution; a single edge that
-    does not fit zeroes every block holding it (weights only grow), so
-    every partition term, and the graph costs no distribution.
+    Each block's value depends only on the distribution restricted to that
+    block, so the sum over distributions factors block by block (Fubini):
+    one partition sum per graph, over the blocks' labeled counts.  Zero
+    whenever the graph is not a translated template, including at offsets
+    where the graph itself is not allowable.  A single edge that does not
+    fit zeroes every block holding it (weights only grow), so every
+    partition term, and the graph costs no block count.
     """
-    profiles = _block_profiles(g, d)
-    if any(profiles[(i,)] is None for i in range(g.n_edges)):
+    if any(allowable_profile(LongEdgeGraph((e,)), d) is None for e in g.edges):
         return Fraction(0)
-    total = sum(
-        _q_star(profiles, dist, g.n_edges) for dist in enumerate_distributions(g)
+    total = _partition_sum(
+        g.n_edges, lambda block: labeled_count(_subgraph(g, block), d)
     )
     return Fraction(multiplicity(g) * total, automorphism_count(g))
-
-
-def q_graph_partition_form(g: LongEdgeGraph, d: int) -> Fraction:
-    """Same value as :func:`q_graph`, computed from whole-subgraph counts:
-    alternating partition sum of products of automorphism-weighted
-    n_graph values.  Kept as an equality cross-check."""
-
-    def value(block: tuple[int, ...]) -> int:
-        sub = LongEdgeGraph(tuple(g.edges[i] for i in block))
-        return automorphism_count(sub) * n_graph(sub, d)
-
-    return Fraction(_partition_sum(g.n_edges, value), automorphism_count(g))
 
 
 def q_delta_templates(d: int, delta: int) -> Fraction:

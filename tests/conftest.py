@@ -1,5 +1,6 @@
 """Shared helpers: random long-edge graphs for property sweeps, both as a
-seeded generator and as a Hypothesis strategy."""
+seeded generator and as a Hypothesis strategy, and Hypothesis strategies
+for malformed graph and diagram text."""
 
 from __future__ import annotations
 
@@ -47,3 +48,39 @@ def long_edge_graphs(draw, max_cogenus: int = 5, max_start: int = 8) -> LongEdge
         max_cogenus,
         max_start,
     )
+
+
+# one whitespace-separated field of a text line: small and huge integers,
+# near-integers and junk
+_SMALL = st.integers(-3, 12).map(str)
+_FIELDS = st.one_of(
+    _SMALL,
+    st.integers(-(10**12), 10**12).map(str),
+    st.sampled_from(["", "x", "1.5", "0x10", "+3", "1_0", "--", "#", "\t", "\u0663"]),
+)
+
+
+@st.composite
+def graph_texts(draw) -> str:
+    """Text in or near the graph file format: up to five lines, each three
+    small integers, a few fields or arbitrary characters (five edges keep
+    q-graph's partition sum small)."""
+    line = st.one_of(
+        st.lists(_SMALL, min_size=3, max_size=3).map(" ".join),
+        st.lists(_FIELDS, max_size=4).map(" ".join),
+        st.text(max_size=8),
+    )
+    return "\n".join(draw(st.lists(line, max_size=5)))
+
+
+@st.composite
+def diagram_texts(draw) -> str:
+    """Text in or near the diagram format: a degree header, with degrees
+    up to 10^12, or a broken one, then graph-like lines."""
+    header = draw(
+        st.one_of(
+            st.integers(-3, 10**12).map(lambda n: f"d={n}"),
+            st.sampled_from(["", "d=", "d = 4", "d=x", "4", "# d=3"]),
+        )
+    )
+    return header + "\n" + draw(graph_texts())

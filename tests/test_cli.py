@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import longedge.cli as cli
+import longedge.qcalc as qcalc
 from longedge.cli import main
+from conftest import graph_texts
 
 GEX_TEXT = "3 5 1\n4 5 2\n4 6 1\n"
 THREE_EDGE_TEXT = "# weight-2 stub under two parallel edges\n0 1 2\n0 2 1\n0 2 1\n"
@@ -176,6 +182,29 @@ class TestGraphCommands:
         assert code == 2
         assert "line 2" in err
 
+    def test_q_graph_over_partition_guard_exit_2(self, capsys, tmp_path, monkeypatch):
+        def forbidden(g, d):
+            raise AssertionError("a block was counted")
+
+        monkeypatch.setattr(qcalc, "labeled_count", forbidden)
+        # 20 weight-2 stubs, each fitting d = 25 on its own
+        path = tmp_path / "stubs.txt"
+        path.write_text("".join(f"{k} {k + 1} 2\n" for k in range(2, 22)))
+        code, out, err = run_cli(capsys, "q-graph", "--graph", str(path), "--d", "25")
+        assert code == 2
+        assert out == ""
+        assert "set partition enumeration guarded" in err
+
+    @pytest.mark.parametrize("command", ["n-graph", "q-graph"])
+    def test_work_guard_exit_2(self, capsys, tmp_path, command):
+        # one edge of length 10^7: work 10^7 + 1, just over the guard
+        path = tmp_path / "long.txt"
+        path.write_text("1 10000001 1\n")
+        code, out, err = run_cli(capsys, command, "--graph", str(path), "--d", "5")
+        assert code == 2
+        assert out == ""
+        assert f"guarded at work <= {cli.GRAPH_MAX_WORK}" in err
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "n-graph", "--graph", str(tmp_path / "nope.txt"), "--d", "5"
@@ -211,9 +240,9 @@ class TestVerify:
     def test_tampered_count_fails_oracle_criterion(self, capsys, monkeypatch):
         import longedge.acceptance as acceptance
 
-        real_n_star = acceptance.n_star
+        real_count = acceptance.labeled_count
         monkeypatch.setattr(
-            acceptance, "n_star", lambda g, dist, d: real_n_star(g, dist, d) + 1
+            acceptance, "labeled_count", lambda g, d: real_count(g, d) + 1
         )
         code, out, err = run_cli(capsys, "verify", "--level", "quick")
         assert code == 1
@@ -235,6 +264,21 @@ def test_degree_below_one_exit_2(capsys, argv):
     code, err = usage_error(capsys, *argv, "--d", "-5")
     assert code == 2
     assert "--d" in err
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["n-graph", "q-graph"]),
+    graph_texts(),
+    st.integers(1, 12),
+    st.one_of(st.integers(-3, 5), st.integers(0, 10**12)),
+)
+def test_graph_file_exits_0_or_2(tmp_path_factory, command, text, d, k):
+    path = tmp_path_factory.getbasetemp() / "graph.txt"
+    path.write_text(text, encoding="utf-8")
+    argv = [command, "--graph", str(path), "--d", str(d), "--k", str(k)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 2)
 
 
 def test_internal_error_exit_3(capsys, monkeypatch, tmp_path):

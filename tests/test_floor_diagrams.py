@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from longedge import (
     EMPTY_GRAPH,
@@ -25,7 +26,7 @@ from longedge import (
     to_long_edge,
 )
 from longedge.floor_diagrams import DiagramEdge, FloorDiagram, divergences
-from conftest import random_graph
+from conftest import diagram_texts, random_graph
 
 
 def cyc(k):
@@ -256,3 +257,23 @@ class TestTextFormat:
     def test_bad_line(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_diagram_text("d=3\n1 2\n")
+
+    def test_huge_degree_header_is_cheap(self, monkeypatch):
+        import longedge.floor_diagrams as floor_diagrams
+
+        def forbidden(*args):
+            raise AssertionError("walked every vertex of the header degree")
+
+        monkeypatch.setattr(floor_diagrams, "range", forbidden, raising=False)
+        diagram = parse_diagram_text("d=1000000000000\n1 2 1\n5 9 1\n")
+        assert diagram.degree == 10**12
+        assert divergences(diagram) == {1: 1, 2: -1, 5: 1, 9: -1}
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(diagram_texts())
+    def test_malformed_text_raises_only_value_error(self, text):
+        try:
+            diagram = parse_diagram_text(text)
+        except ValueError:
+            return
+        assert parse_diagram_text(format_diagram_text(diagram)) == diagram

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from longedge import (
     EMPTY_GRAPH,
@@ -22,7 +23,7 @@ from longedge import (
     parse_graph_text,
     weight_profile,
 )
-from conftest import random_graph
+from conftest import graph_texts, random_graph
 
 GEX = make_graph([(3, 5, 1), (4, 5, 2), (4, 6, 1)])
 CYCLOPS = make_graph([(0, 2, 1)])
@@ -291,3 +292,12 @@ class TestTextFormat:
             parse_graph_text("3 5 1\n4 5 2\nx y z\n")
         with pytest.raises(ValueError, match="line 1"):
             parse_graph_text("1 2 1\n")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(graph_texts())
+    def test_malformed_text_raises_only_value_error(self, text):
+        try:
+            g = parse_graph_text(text)
+        except ValueError:
+            return
+        assert parse_graph_text(format_graph_text(g)) == g

@@ -26,12 +26,12 @@ from longedge import (
     q_delta_log,
     q_delta_templates,
     q_graph,
-    q_graph_partition_form,
     q_star,
     set_partitions,
     severi_degree,
     sigma,
 )
+from longedge.acceptance import q_graph_by_distribution
 from conftest import random_graph
 
 # weight-2 stub under two parallel weight-1 edges, at offset k
@@ -106,40 +106,42 @@ class TestQGraph:
                 second = [b - a for a, b in zip(first, first[1:])]
                 assert all(x == 0 for x in second)
 
-    def test_matches_subgraph_partition_form(self):
-        # every offset 0..d+1, as q_delta_templates sums them: 184 of the
-        # cases have a non-allowable whole graph, 72 of those with some
-        # allowable block and 31 with a nonzero value
-        cases = 0
-        for delta in (1, 2, 3):
-            for t in enumerate_templates(delta):
-                d = t.right_end + 3
-                for k in range(0, d + 2):
-                    g = offset(t, k)
-                    assert q_graph(g, d) == q_graph_partition_form(g, d), (g, d)
-                    cases += 1
-        assert cases == 259
+    def test_one_partition_sum_per_graph(self, monkeypatch):
+        import longedge.qcalc as qcalc
+
+        calls = []
+        real = qcalc._partition_sum
+
+        def counted(n, value):
+            calls.append(n)
+            return real(n, value)
+
+        monkeypatch.setattr(qcalc, "_partition_sum", counted)
+        g = three_edge(4)
+        assert len(list(enumerate_distributions(g))) == 4
+        assert q_graph(g, 6) == 144
+        assert calls == [3]
 
     def test_unfit_edge_enumerates_no_distribution(self, monkeypatch):
         import longedge.qcalc as qcalc
 
-        def forbidden(g):
-            raise AssertionError("distributions enumerated with an unfit edge")
+        def forbidden(g, d):
+            raise AssertionError("block counted with an unfit edge")
 
-        monkeypatch.setattr(qcalc, "enumerate_distributions", forbidden)
+        monkeypatch.setattr(qcalc, "labeled_count", forbidden)
         # five long edges of span 30, none fitting d = 5: 24 million distributions
         wide = make_graph([(0, 30, 1), (1, 31, 1), (2, 32, 1), (3, 33, 1), (4, 34, 1)])
         assert q_graph(wide, 5) == 0
         # one unfit weight-2 stub beside an edge that fits
         g = make_graph([(0, 1, 2), (3, 5, 1)])
-        assert q_graph(g, 6) == q_graph_partition_form(g, 6) == 0
+        assert q_graph(g, 6) == q_graph_by_distribution(g, 6) == 0
 
-    def test_partition_form_on_unions(self):
+    def test_per_distribution_sum_on_unions(self):
         rng = random.Random(53)
         for _ in range(40):
             g = disjoint_union([random_graph(rng, 2), random_graph(rng, 1)])
             d = g.right_end + 2
-            assert q_graph(g, d) == q_graph_partition_form(g, d)
+            assert q_graph(g, d) == q_graph_by_distribution(g, d)
 
     def test_refinement_consistency(self):
         # labeled sum scaled by mu/alpha(G) equals the unlabeled sum weighted
