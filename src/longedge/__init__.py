@@ -43,6 +43,7 @@ from .counting import (
     n_star,
     orderings_oracle,
     severi_degree,
+    severi_series,
 )
 from .qcalc import (
     SimpleGraphH,

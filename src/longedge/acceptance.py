@@ -21,6 +21,7 @@ from .counting import (
     n_graph,
     orderings_oracle,
     severi_degree,
+    severi_series,
 )
 from .floor_diagrams import fmcount
 from .graphs import (
@@ -33,7 +34,12 @@ from .graphs import (
     multiplicity,
     offset,
 )
-from .polynomials import RationalPolynomial, finite_differences, node_polynomial
+from .polynomials import (
+    FACTORED_NODE_POLYNOMIALS,
+    RationalPolynomial,
+    finite_differences,
+    node_polynomial,
+)
 from .qcalc import (
     exp_recover_n,
     chromatic_derivative_at_zero,
@@ -77,14 +83,8 @@ def check_worked_example_count() -> str:
 
 
 def check_node_polynomials() -> str:
-    # degree-2: (3/2)(d-1)(d-2)(3d^2-3d-11), checked against the factored form
-    factored2 = (
-        RationalPolynomial.from_coefficients([-1, 1])
-        * RationalPolynomial.from_coefficients([-2, 1])
-        * RationalPolynomial.from_coefficients([-11, -3, 3])
-    ).scale(Fraction(3, 2))
     got2 = node_polynomial(2)
-    assert got2 == factored2, f"node_polynomial(2) = {got2.to_strings()}"
+    assert got2 == FACTORED_NODE_POLYNOMIALS[2][1], f"node_polynomial(2) = {got2.to_strings()}"
     expected3 = RationalPolynomial.from_coefficients(
         [
             525,
@@ -254,9 +254,8 @@ def check_formula_vs_oracle() -> str:
 def check_exp_log_roundtrip() -> str:
     for d in range(1, 13):
         q_table = {dd: q_delta_log(d, dd) for dd in range(1, 5)}
-        for delta in range(0, 5):
+        for delta, want in enumerate(severi_series(d, 4)):
             got = exp_recover_n(d, delta, q_table)
-            want = severi_degree(d, delta)
             assert got == want, (
                 f"exp of log coefficients gave {got} at d={d}, delta={delta}, "
                 f"expected {want}"
@@ -266,11 +265,10 @@ def check_exp_log_roundtrip() -> str:
 
 def check_placements_vs_graph_sum() -> str:
     for d in range(1, 11):
-        for delta in range(0, 5):
+        for delta, got in enumerate(severi_series(d, 4)):
             via_graphs = sum(n_graph(g, d) for g in enumerate_graphs(delta, d))
-            got = severi_degree(d, delta)
-            assert got == via_graphs, f"severi_degree({d},{delta}) = {got} != {via_graphs}"
-    return "placement sum equals graph-by-graph sum for cogenus <= 4, d <= 10"
+            assert got == via_graphs, f"severi_series({d},4)[{delta}] = {got} != {via_graphs}"
+    return "vertex walk series equals graph-by-graph sum for cogenus <= 4, d <= 10"
 
 
 def check_d_independence() -> str:

@@ -10,7 +10,7 @@ arithmetic, never floating point.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from collections import deque
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graphs import (
@@ -86,23 +86,31 @@ def n_graph(g: LongEdgeGraph, d: int) -> int:
     return q
 
 
+def severi_series(d: int, delta: int) -> list[int]:
+    """Severi degrees N^{d,r} for r = 0..delta in one walk over the
+    vertices v = d, ..., 0.  Row v sums n_graph, per cogenus, over the
+    allowable graphs with no edge left of v: row v+1 plus, for each
+    template piece starting at v, n_graph(piece) times the row at its right
+    end (n_graph is multiplicative over pieces).  A piece ends at most
+    delta+1 vertices right of v, so delta+2 rows are kept."""
+    if delta < 0:
+        raise ValueError("cogenus must be nonnegative")
+    rows = deque([[1] + [0] * delta], maxlen=delta + 2)
+    for v in range(d, -1, -1):
+        row = list(rows[0])
+        for c, piece, nxt in placements(delta, d, v):
+            count = n_graph(piece, d)
+            after = rows[nxt - v - 1]
+            for r in range(c, delta + 1):
+                row[r] += count * after[r - c]
+        rows.appendleft(row)
+    return rows[0]
+
+
 def severi_degree(d: int, delta: int) -> int:
     """Number of degree-d plane curves with delta nodes through the
-    matching number of general points: the sum of n_graph over all
-    allowable long-edge graphs of cogenus delta, summed left to right over
-    :func:`placements` (n_graph is multiplicative over them), memoized on
-    (next free vertex, remaining cogenus)."""
-
-    @lru_cache(maxsize=None)
-    def tail(start: int, remaining: int) -> int:
-        if remaining == 0:
-            return 1
-        return sum(
-            n_graph(piece, d) * tail(nxt, remaining - c)
-            for c, piece, nxt in placements(remaining, d, start)
-        )
-
-    return tail(0, delta)
+    matching number of general points: the last entry of :func:`severi_series`."""
+    return severi_series(d, delta)[delta]
 
 
 def _distinct_permutations(tokens: tuple) -> Iterable[tuple]:

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .counting import DEFAULT_ORACLE_TOKENS, orderings_oracle
+from .counting import orderings_oracle
 from .graphs import (
     LongEdgeGraph,
     allowable_profile,
@@ -158,14 +158,12 @@ def fd_multiplicity(diagram: FloorDiagram) -> int:
     return multiplicity(to_long_edge(diagram))
 
 
-def marking_count(
-    diagram: FloorDiagram, max_tokens: int = DEFAULT_ORACLE_TOKENS
-) -> int:
+def marking_count(diagram: FloorDiagram) -> int:
     """Equivalence classes of markings: ordering classes of the subdivided
     extension of the diagram's long-edge graph, counted by the explicit
     ordering enumeration."""
     g = restored_long_edge(diagram)
-    labeled = orderings_oracle(g, diagram.degree, max_tokens=max_tokens)
+    labeled = orderings_oracle(g, diagram.degree)
     alpha = automorphism_count(g)
     q, r = divmod(labeled, alpha)
     if r:
@@ -227,11 +225,11 @@ def enumerate_floor_diagrams(d: int, delta: int) -> list[FloorDiagram]:
     return results
 
 
-def fmcount(d: int, delta: int, max_tokens: int = DEFAULT_ORACLE_TOKENS) -> int:
+def fmcount(d: int, delta: int) -> int:
     """Severi degree via the floor diagram route: the sum of multiplicity
     times marking count over all diagrams of degree d and cogenus delta."""
     return sum(
-        fd_multiplicity(diagram) * marking_count(diagram, max_tokens=max_tokens)
+        fd_multiplicity(diagram) * marking_count(diagram)
         for diagram in enumerate_floor_diagrams(d, delta)
     )
 

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 from .counting import severi_degree
 from .qcalc import q_delta_templates
 
-DEFAULT_MAX_DELTA = 4
+MAX_DELTA = 4
 
 
 def _canonical(coeffs: Iterable[Fraction]) -> tuple[Fraction, ...]:
@@ -103,6 +103,19 @@ class RationalPolynomial:
         return text
 
 
+# The classical node polynomials for one and two nodes, in factored form.
+_D_MINUS_1, _D_MINUS_2 = (RationalPolynomial.from_coefficients([c, 1]) for c in (-1, -2))
+FACTORED_NODE_POLYNOMIALS: dict[int, tuple[str, RationalPolynomial]] = {
+    1: ("3*(d - 1)^2", (_D_MINUS_1 * _D_MINUS_1).scale(3)),
+    2: (
+        "(3/2)*(d - 1)*(d - 2)*(3*d^2 - 3*d - 11)",
+        (
+            _D_MINUS_1 * _D_MINUS_2 * RationalPolynomial.from_coefficients([-11, -3, 3])
+        ).scale(Fraction(3, 2)),
+    ),
+}
+
+
 def interpolate(points: Sequence[tuple[int, Fraction]]) -> RationalPolynomial:
     """Unique polynomial of degree < len(points) through the given points,
     by Lagrange basis with exact rational arithmetic."""
@@ -141,7 +154,7 @@ def finite_difference_degree(values: Sequence) -> int:
         m += 1
 
 
-def node_polynomial(delta: int, max_delta: int = DEFAULT_MAX_DELTA) -> RationalPolynomial:
+def node_polynomial(delta: int) -> RationalPolynomial:
     """Polynomial in d giving the Severi degree for delta nodes at large d.
 
     Interpolates computed degrees at d = delta+2 .. delta+2+2*delta, then
@@ -149,8 +162,8 @@ def node_polynomial(delta: int, max_delta: int = DEFAULT_MAX_DELTA) -> RationalP
     window started below the polynomiality threshold and raises naming the
     offending d.  Result has degree exactly 2*delta.
     """
-    if not (1 <= delta <= max_delta):
-        raise ValueError(f"delta must be in 1..{max_delta}")
+    if not (1 <= delta <= MAX_DELTA):
+        raise ValueError(f"delta must be in 1..{MAX_DELTA}")
     base = delta + 2
     points = [
         (d, Fraction(severi_degree(d, delta))) for d in range(base, base + 2 * delta + 1)
@@ -170,11 +183,11 @@ def node_polynomial(delta: int, max_delta: int = DEFAULT_MAX_DELTA) -> RationalP
     return poly
 
 
-def q_polynomial(delta: int, max_delta: int = DEFAULT_MAX_DELTA) -> RationalPolynomial:
+def q_polynomial(delta: int) -> RationalPolynomial:
     """Quadratic in d matching the log coefficient for one cogenus at
     large d, interpolated from three values and validated on four more."""
-    if not (1 <= delta <= max_delta):
-        raise ValueError(f"delta must be in 1..{max_delta}")
+    if not (1 <= delta <= MAX_DELTA):
+        raise ValueError(f"delta must be in 1..{MAX_DELTA}")
     base = delta + 2
     points = [(d, q_delta_templates(d, delta)) for d in range(base, base + 3)]
     poly = interpolate(points)

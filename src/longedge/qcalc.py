@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .counting import labeled_count, n_star, severi_degree
+from .counting import labeled_count, n_star, severi_series
 from .graphs import (
     LongEdgeGraph,
     allowable_profile,
@@ -162,10 +162,7 @@ def q_delta_log(d: int, delta: int) -> Fraction:
     degree-delta coefficient of log(sum of Severi degrees x^cogenus)."""
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    series = [Fraction(1)] + [
-        Fraction(severi_degree(d, dd)) for dd in range(1, delta + 1)
-    ]
-    return _series_log(series)[delta]
+    return _series_log([Fraction(n) for n in severi_series(d, delta)])[delta]
 
 
 def exp_recover_n(d: int, delta: int, q_values: Mapping[int, Fraction]) -> int:

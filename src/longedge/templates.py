@@ -86,18 +86,17 @@ def allowable_offsets(template: LongEdgeGraph, d: int) -> range:
     return range(lo, hi + 1)
 
 
-def placements(delta: int, d: int, start: int) -> Iterator[tuple[int, LongEdgeGraph, int]]:
-    """Every allowable offset template of cogenus 1..delta with left end at
-    or after ``start``, as (cogenus, offset template, next free vertex).
-    A long-edge graph is the union of a unique left-to-right sequence of
-    such pieces, each at or after the previous one's right end."""
+def placements(delta: int, d: int, v: int) -> Iterator[tuple[int, LongEdgeGraph, int]]:
+    """Every allowable offset template of cogenus 1..delta with left end
+    ``v``, as (cogenus, offset template, next free vertex).  A long-edge
+    graph is the union of a unique left-to-right sequence of such pieces,
+    each at or after the previous one's right end."""
     if delta < 0:
         raise ValueError("cogenus must be nonnegative")
     for c in range(1, delta + 1):
         for template in enumerate_templates(c):
-            for k in allowable_offsets(template, d):
-                if k >= start:
-                    yield c, offset(template, k), k + template.right_end
+            if v in allowable_offsets(template, d):
+                yield c, offset(template, v), v + template.right_end
 
 
 def enumerate_graphs(delta: int, d: int) -> Iterator[LongEdgeGraph]:
@@ -112,9 +111,10 @@ def enumerate_graphs(delta: int, d: int) -> Iterator[LongEdgeGraph]:
         if remaining == 0:
             yield disjoint_union(acc)
             return
-        for c, piece, nxt in placements(remaining, d, start):
-            acc.append(piece)
-            yield from build(nxt, remaining - c, acc)
-            acc.pop()
+        for v in range(start, d + 1):
+            for c, piece, nxt in placements(remaining, d, v):
+                acc.append(piece)
+                yield from build(nxt, remaining - c, acc)
+                acc.pop()
 
     yield from build(0, delta, [])

@@ -142,6 +142,9 @@ class TestNodePoly:
         code, out, _ = run_cli(capsys, "node-poly", "--delta", "1")
         assert code == 0
         assert "3*(d - 1)^2" in out
+        code, out, _ = run_cli(capsys, "node-poly", "--delta", "2")
+        assert code == 0
+        assert "factored: (3/2)*(d - 1)*(d - 2)*(3*d^2 - 3*d - 11)\n" in out
 
 
 class TestGraphCommands:

@@ -18,7 +18,9 @@ from longedge import (
     offset,
     orderings_oracle,
     severi_degree,
+    severi_series,
 )
+from longedge.templates import placements
 from conftest import random_graph
 
 GEX = make_graph([(3, 5, 1), (4, 5, 2), (4, 6, 1)])
@@ -190,6 +192,32 @@ class TestSeveriDegree:
 
         monkeypatch.setattr(templates, "disjoint_union", forbidden)
         assert severi_degree(6, 3) == 41310
+
+    def test_series_holds_every_cogenus(self):
+        assert severi_series(4, 3) == [1, 27, 225, 675]
+        assert severi_series(7, 0) == [1]
+        with pytest.raises(ValueError):
+            severi_series(4, -1)
+
+    def test_one_n_graph_call_per_piece(self, monkeypatch):
+        import longedge.counting as counting
+
+        calls = []
+        real = counting.n_graph
+
+        def counted(g, d):
+            calls.append(g)
+            return real(g, d)
+
+        monkeypatch.setattr(counting, "n_graph", counted)
+        severi_series(9, 5)
+        pieces = {piece for v in range(10) for _, piece, _ in placements(5, 9, v)}
+        assert len(calls) == len(pieces) == 2235
+        assert set(calls) == pieces
+
+    def test_cogenus_two_closed_form_at_large_d(self):
+        d = 2000
+        assert 2 * severi_degree(d, 2) == 3 * (d - 1) * (d - 2) * (3 * d * d - 3 * d - 11)
 
 
 class TestOrderingsOracle:

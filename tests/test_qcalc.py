@@ -216,6 +216,20 @@ class TestQDeltaRoutes:
         ]
         assert all(x == 0 for x in third)
 
+    def test_log_route_walks_one_series(self, monkeypatch):
+        import longedge.qcalc as qcalc
+
+        calls = []
+        real = qcalc.severi_series
+
+        def counted(d, delta):
+            calls.append((d, delta))
+            return real(d, delta)
+
+        monkeypatch.setattr(qcalc, "severi_series", counted)
+        assert q_delta_log(8, 4) == q_delta_templates(8, 4)
+        assert calls == [(8, 4)]
+
     def test_guard(self):
         with pytest.raises(ValueError):
             q_delta_templates(4, 0)

@@ -20,6 +20,7 @@ from longedge import (
     n_graph,
     n_star,
     offset,
+    placements,
 )
 from longedge.counting import enumerate_distributions
 
@@ -138,6 +139,26 @@ class TestOffsetWindows:
                         - len(allowable_offsets(t, d))
                         == 1
                     )
+
+
+class TestPlacements:
+    @pytest.mark.parametrize("delta", [1, 2, 3, 4])
+    def test_pieces_start_at_v(self, delta):
+        for d in range(1, 9):
+            seen = set()
+            for v in range(0, d + 2):
+                for c, piece, nxt in placements(delta, d, v):
+                    assert piece.left_end == v
+                    assert nxt == piece.right_end
+                    assert cogenus(piece) == c
+                    seen.add(piece)
+            every = {
+                offset(t, k)
+                for c in range(1, delta + 1)
+                for t in enumerate_templates(c)
+                for k in allowable_offsets(t, d)
+            }
+            assert seen == every
 
 
 class TestEnumerateGraphs:
