@@ -12,13 +12,12 @@ exactly when their edge multisets agree.  All operations here are pure.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from functools import total_ordering
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(NamedTuple):
     """A single weighted edge from ``start`` to ``end`` (start < end)."""
 
     start: int
@@ -53,16 +52,48 @@ def make_edge(start: int, end: int, weight: int) -> Edge:
     return Edge(start, end, weight)
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class LongEdgeGraph:
     """Canonical long-edge graph: edges sorted by (start, end, weight).
 
     The empty graph is a legitimate value (cogenus 0, multiplicity 1,
     allowable for every d).  Edge positions in the sorted tuple serve as
     the internal edge labels used by distributions and partition sums.
+    Immutable; equal, ordered and hashed by its edge tuple, and equal only
+    to another graph.
     """
 
-    edges: tuple[Edge, ...]
+    __slots__ = ("edges",)
+
+    def __init__(self, edges: tuple[Edge, ...]) -> None:
+        object.__setattr__(self, "edges", edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    # Pickle and copy rebuild through __init__; the default would restore
+    # the slot through the raising __setattr__.
+    def __reduce__(self):
+        return (self.__class__, (self.edges,))
+
+    def __repr__(self) -> str:
+        return f"LongEdgeGraph(edges={self.edges!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.edges == other.edges
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.edges < other.edges
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.edges,))
 
     @property
     def n_edges(self) -> int:

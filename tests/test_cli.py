@@ -308,6 +308,31 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "225"
 
+    def test_commands_load_only_the_modules_they_run(self):
+        """severi and templates never load the Q, polynomial, floor-diagram
+        or acceptance modules, nor dataclasses or fractions."""
+        script = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "from longedge.cli import main\n"
+            "for argv in (['severi', '--d', '1', '--delta', '0'],\n"
+            "             ['severi', '--d', '12', '--delta', '5'],\n"
+            "             ['templates', '--delta', '3']):\n"
+            "    assert main(argv) == 0\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[:2] == ["1", "36161763120"]
+        loaded = set(json.loads(lines[-1]))
+        assert "longedge.counting" in loaded
+        unused = {
+            "longedge.qcalc", "longedge.polynomials", "longedge.floor_diagrams",
+            "longedge.acceptance", "dataclasses", "fractions",
+        }
+        assert not unused & loaded
+
     def test_no_float_representations(self, capsys):
         for argv in (
             ["severi", "--d", "5", "--delta", "2"],

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 
 from longedge import (
     EMPTY_GRAPH,
+    LongEdgeGraph,
     allowable_profile,
     automorphism_count,
     automorphism_count_with,
@@ -17,13 +20,14 @@ from longedge import (
     is_allowable,
     is_offset_template,
     is_template,
+    make_edge,
     make_graph,
     multiplicity,
     offset,
     parse_graph_text,
     weight_profile,
 )
-from conftest import graph_texts, random_graph
+from conftest import graph_texts, long_edge_graphs, random_graph
 
 GEX = make_graph([(3, 5, 1), (4, 5, 2), (4, 6, 1)])
 CYCLOPS = make_graph([(0, 2, 1)])
@@ -301,3 +305,60 @@ class TestTextFormat:
         except ValueError:
             return
         assert parse_graph_text(format_graph_text(g)) == g
+
+
+def _triples(g):
+    return tuple((e.start, e.end, e.weight) for e in g.edges)
+
+
+class TestValueTypes:
+    """Edges and graphs behave as the frozen, ordered value types they
+    have always been: equality, hash and order by the edge triples."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(long_edge_graphs(), long_edge_graphs())
+    def test_equality_hash_order_follow_edge_triples(self, g, h):
+        for x in (g, h):
+            assert hash(x) == hash((_triples(x),))
+            for e in x.edges:
+                assert hash(e) == hash((e.start, e.end, e.weight))
+        assert (g == h) == (_triples(g) == _triples(h))
+        assert (g != h) == (_triples(g) != _triples(h))
+        assert (g < h) == (_triples(g) < _triples(h))
+        assert (g <= h) == (_triples(g) <= _triples(h))
+        assert (g > h) == (_triples(g) > _triples(h))
+        assert (g >= h) == (_triples(g) >= _triples(h))
+        assert (g.edges < h.edges) == (_triples(g) < _triples(h))
+        assert g == make_graph(_triples(g)) and hash(g) == hash(make_graph(_triples(g)))
+
+    def test_repr(self):
+        assert repr(make_edge(0, 2, 1)) == "Edge(start=0, end=2, weight=1)"
+        assert repr(CYCLOPS) == "LongEdgeGraph(edges=(Edge(start=0, end=2, weight=1),))"
+        assert repr(EMPTY_GRAPH) == "LongEdgeGraph(edges=())"
+
+    def test_fields_cannot_be_assigned(self):
+        edge = GEX.edges[0]
+        with pytest.raises(AttributeError):
+            edge.start = 7
+        with pytest.raises(AttributeError):
+            GEX.edges = ()
+        with pytest.raises(AttributeError):
+            del GEX.edges
+        with pytest.raises(AttributeError):
+            GEX.extra = 1
+        assert _triples(GEX) == ((3, 5, 1), (4, 5, 2), (4, 6, 1))
+
+    @pytest.mark.parametrize("g", [EMPTY_GRAPH, CYCLOPS, GEX], ids=["empty", "cyclops", "gex"])
+    def test_pickle_and_deepcopy_round_trip(self, g):
+        for twin in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+            assert type(twin) is LongEdgeGraph
+            assert twin == g and hash(twin) == hash(g)
+            assert repr(twin) == repr(g)
+
+    def test_graph_never_equals_a_tuple(self):
+        for g in (EMPTY_GRAPH, CYCLOPS, GEX):
+            assert g != g.edges and g.edges != g
+            assert g != tuple(g) and g != _triples(g)
+            assert g != (g.edges,)
+        with pytest.raises(TypeError):
+            GEX < GEX.edges
