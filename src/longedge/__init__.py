@@ -32,7 +32,7 @@ _EXPORTS = {
     "qcalc": (
         "SimpleGraphH", "chromatic_derivative_at_zero", "chromatic_polynomial",
         "exp_recover_n", "make_simple_graph", "pair_identity", "q_delta_log",
-        "q_delta_templates", "q_graph", "q_star", "set_partitions", "sigma",
+        "q_delta_templates", "q_graph", "q_star", "sigma",
     ),
     "polynomials": (
         "RationalPolynomial", "finite_difference_degree", "interpolate",

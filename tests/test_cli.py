@@ -125,6 +125,13 @@ class TestTemplatesCommand:
             assert set(entry) == {"edges", "delta", "mu", "alpha", "k_min"}
             assert entry["delta"] == "2"
 
+    @pytest.mark.parametrize("delta", [0, 1, 3])
+    def test_json_is_one_canonical_list(self, capsys, delta):
+        # written record by record, the bytes are those of one json.dumps
+        code, out, _ = run_cli(capsys, "templates", "--delta", str(delta), "--json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
     def test_guard(self, capsys):
         code, _, err = run_cli(capsys, "templates", "--delta", "99")
         assert code == 2
@@ -177,6 +184,15 @@ class TestGraphCommands:
         code, out, _ = run_cli(capsys, "q-graph", "--graph", str(path), "--d", "2")
         assert code == 0
         assert out.strip() == "-9/2"
+
+    @pytest.mark.parametrize("command", ["n-graph", "q-graph"])
+    def test_empty_file_is_the_empty_graph(self, capsys, tmp_path, command):
+        # N of the empty graph is 1; its log coefficient Q is 0
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        code, out, err = run_cli(capsys, command, "--graph", str(path), "--d", "3")
+        assert (code, err) == (0, "")
+        assert out.strip() == {"n-graph": "1", "q-graph": "0"}[command]
 
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"

@@ -3,10 +3,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import pytest
 
 from longedge import (
+    EMPTY_GRAPH,
     automorphism_count,
     automorphism_count_with,
     chromatic_derivative_at_zero,
@@ -27,16 +29,50 @@ from longedge import (
     q_delta_templates,
     q_graph,
     q_star,
-    set_partitions,
     severi_degree,
     sigma,
 )
+import longedge.qcalc as qcalc
 from longedge.acceptance import q_graph_by_distribution
 from conftest import random_graph
 
 # weight-2 stub under two parallel weight-1 edges, at offset k
 def three_edge(k):
     return make_graph([(k, k + 1, 2), (k, k + 2, 1), (k, k + 2, 1)])
+
+
+def set_partitions(n):
+    """Reference enumeration: every partition of {0, ..., n-1} into
+    nonempty blocks, each once, blocks ordered by smallest element."""
+
+    def rec(i, blocks):
+        if i == n:
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for b in blocks:
+            b.append(i)
+            yield from rec(i + 1, blocks)
+            b.pop()
+        blocks.append([i])
+        yield from rec(i + 1, blocks)
+        blocks.pop()
+
+    yield from rec(0, [])
+
+
+def literal_partition_sum(n, value):
+    """Reference: (-1)^(p-1) (p-1)! times the product of the p block
+    values, added over every set partition; 0 for n = 0."""
+    if n == 0:
+        return 0
+    total = 0
+    for partition in set_partitions(n):
+        p = len(partition)
+        term = (-1) ** (p - 1) * factorial(p - 1)
+        for block in partition:
+            term *= value(block)
+        total += term
+    return total
 
 
 class TestSetPartitions:
@@ -50,8 +86,44 @@ class TestSetPartitions:
             assert flat == list(range(n))
 
     def test_guard(self):
-        with pytest.raises(ValueError, match="guard"):
-            next(set_partitions(13))
+        def forbidden(block):
+            raise AssertionError("a block was evaluated")
+
+        with pytest.raises(ValueError, match="guarded at n <= 12, got 13"):
+            qcalc._partition_sum(13, forbidden)
+
+
+class TestPartitionSum:
+    @pytest.mark.parametrize("n", range(9))
+    def test_equals_literal_sum(self, n):
+        rng = random.Random(1000 + n)
+        for _ in range(3):
+            table = {
+                block: rng.choice([0, 0, 0, 1, -1, 2, 5, -7])
+                for size in range(1, n + 1)
+                for block in combinations(range(n), size)
+            }
+            assert qcalc._partition_sum(n, table.__getitem__) == (
+                literal_partition_sum(n, table.__getitem__)
+            )
+
+    def test_each_block_at_most_once(self):
+        seen = []
+
+        def value(block):
+            assert block == tuple(sorted(block))
+            seen.append(block)
+            return len(block) + 1
+
+        total = qcalc._partition_sum(6, value)
+        assert total == literal_partition_sum(6, lambda b: len(b) + 1)
+        assert len(seen) == len(set(seen)) == 2**6 - 1
+
+    def test_empty_graph_has_no_log_term(self):
+        assert qcalc._partition_sum(0, lambda block: 1) == 0
+        for d in (1, 4):
+            assert q_graph(EMPTY_GRAPH, d) == 0
+            assert q_star(EMPTY_GRAPH, (), d) == 0
 
 
 class TestQStar:
@@ -107,8 +179,6 @@ class TestQGraph:
                 assert all(x == 0 for x in second)
 
     def test_one_partition_sum_per_graph(self, monkeypatch):
-        import longedge.qcalc as qcalc
-
         calls = []
         real = qcalc._partition_sum
 
@@ -123,8 +193,6 @@ class TestQGraph:
         assert calls == [3]
 
     def test_unfit_edge_enumerates_no_distribution(self, monkeypatch):
-        import longedge.qcalc as qcalc
-
         def forbidden(g, d):
             raise AssertionError("block counted with an unfit edge")
 
@@ -217,8 +285,6 @@ class TestQDeltaRoutes:
         assert all(x == 0 for x in third)
 
     def test_log_route_walks_one_series(self, monkeypatch):
-        import longedge.qcalc as qcalc
-
         calls = []
         real = qcalc.severi_series
 
