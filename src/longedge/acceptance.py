@@ -37,7 +37,7 @@ from .graphs import (
 from .polynomials import (
     FACTORED_NODE_POLYNOMIALS,
     RationalPolynomial,
-    finite_differences,
+    finite_difference_degree,
     node_polynomial,
 )
 from .qcalc import (
@@ -142,8 +142,7 @@ def check_linearity() -> str:
                     Fraction(q_star(offset(template, k), _shift_dist(dist, k), d))
                     for k in ks
                 ]
-                second = finite_differences(finite_differences(values))
-                assert all(x == 0 for x in second), (
+                assert finite_difference_degree(values) <= 1, (
                     f"q_star not linear for template {template} "
                     f"distribution {dist}: values {values}"
                 )
@@ -178,8 +177,7 @@ def check_fubini_vs_distribution() -> str:
 def check_quadraticity() -> str:
     for delta in (1, 2, 3):
         values = [q_delta_templates(d, delta) for d in range(delta + 2, delta + 11)]
-        third = finite_differences(finite_differences(finite_differences(values)))
-        assert all(x == 0 for x in third), (
+        assert finite_difference_degree(values) <= 2, (
             f"third differences of the cogenus-{delta} log quantity "
             f"do not vanish: {values}"
         )

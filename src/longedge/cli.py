@@ -9,9 +9,13 @@ A graph file's work, the product of (length + 1) over its edges, bounds
 the gaps the allowability check walks, n-graph's distributions and
 q-graph's (block, distribution) pairs; above GRAPH_MAX_WORK = 10^7 (~26 s
 at ~2.6 us per unit on a 2-vCPU box, ~1.2 GiB for one edge) it exits 2.
+q-graph's pairs cost up to ~5.3 us each, so q-graph exits 2 above
+QGRAPH_MAX_WORK = 5 * 10^6 (~26 s).
 
-severi walks the vertices once, so its cost is linear in d: on the same
-box, severi --d 2000 --delta 2 takes ~0.5 s and --d 20000 --delta 1 ~1 s.
+severi and q walk the vertices once, so their cost is linear in d: on the
+same box, severi --d 2000 --delta 2 takes ~0.5 s and --d 20000 --delta 1
+~1 s.  Past the d where the walk at that delta takes ~26 s (SEVERI_MAX_D,
+and Q_TEMPLATES_MAX_D for q --route templates) they exit 2.
 
 Each command imports only the modules it runs: graphs, templates and
 counting at start-up; qcalc, polynomials, floor_diagrams and acceptance
@@ -45,24 +49,53 @@ from .templates import enumerate_templates, min_allowable_offset
 TEMPLATES_MAX_DELTA = 10
 SEVERI_MAX_DELTA = 8
 GRAPH_MAX_WORK = 10**7
+# q-graph counts every block of edges: sum over blocks of the product of
+# their lengths, which is work - 1 distributions, each dearer than
+# n-graph's (fresh process, 2-vCPU box: 1.7-5.3 us per unit over eleven
+# 8- to 12-edge files; the 12-edge chain of four (k, k+3, 1) per
+# (k, k+2, 1), work 5,308,416, took 28.1 s).  ~26 s at the dearest.
+QGRAPH_MAX_WORK = 5 * 10**6
+
+# Largest --d per --delta for one walk over d: past it the walk takes more
+# than ~26 s.  Fresh process, 2-vCPU box, linear in d past small d; the
+# seconds measured at the largest d tried, (d, seconds) by delta:
+# severi_series (severi, q --route log): 0: (10^6, 0.67), 1: (740000, 19.2),
+# 2: (20000, 3.67), 3: (40000, 27.9), 4: (1000, 3.27), 5: (1500, 27.6),
+# 6: (40, 3.89), 7: (48, 26.8), 8: (12, 25.1).
+SEVERI_MAX_D = {
+    0: 38_000_000, 1: 740_000, 2: 140_000, 3: 37_000, 4: 7_700,
+    5: 1_400, 6: 230, 7: 46, 8: 12,
+}
+# q_delta_templates (q --route templates): 1: (800000, 27.8),
+# 2: (10000, 1.79), 3: (1000, 2.36), 4: (300, 3.88), 5: (330, 27.6),
+# 6: (45, 26.3), 7: (10, 27.6), 8: (6, 37.3).
+Q_TEMPLATES_MAX_D = {
+    1: 750_000, 2: 140_000, 3: 10_000, 4: 2_000, 5: 310, 6: 44, 7: 9, 8: 5,
+}
 
 
-def _record(command: str, params: dict, value: str, method: str, started: float) -> dict:
-    return {
-        "command": command,
-        "params": params,
-        "value": value,
-        "method": method,
-        "ms": int((time.perf_counter() - started) * 1000),
-    }
-
-
-def _emit_value(args, record: dict) -> int:
+def _emit_value(args, params: dict, value: str, method: str, started: float) -> int:
+    """Print the value, or with --json its record; exit code 0."""
     if args.json:
-        print(json.dumps(record, sort_keys=True))
+        print(json.dumps({
+            "command": args.command,
+            "params": params,
+            "value": value,
+            "method": method,
+            "ms": int((time.perf_counter() - started) * 1000),
+        }, sort_keys=True))
     else:
-        print(record["value"])
+        print(value)
     return 0
+
+
+def _guard_d(args, max_d: dict[int, int]) -> None:
+    """Exit 2 before any counting when --d is past the walk's bound."""
+    if args.d > max_d[args.delta]:
+        raise ValueError(
+            f"--d guarded at <= {max_d[args.delta]} for --delta {args.delta}: "
+            f"the walk over d would take more than ~26 s"
+        )
 
 
 def _cmd_templates(args) -> int:
@@ -96,20 +129,16 @@ def _cmd_severi(args) -> int:
     started = time.perf_counter()
     if not (0 <= args.delta <= SEVERI_MAX_DELTA):
         raise ValueError(f"--delta must be in 0..{SEVERI_MAX_DELTA}")
+    _guard_d(args, SEVERI_MAX_D)
     if args.method == "floor":
         from .floor_diagrams import fmcount
 
         value = fmcount(args.d, args.delta)
     else:
         value = severi_degree(args.d, args.delta)
-    record = _record(
-        "severi",
-        {"d": args.d, "delta": args.delta},
-        str(value),
-        args.method,
-        started,
+    return _emit_value(
+        args, {"d": args.d, "delta": args.delta}, str(value), args.method, started
     )
-    return _emit_value(args, record)
 
 
 def _cmd_node_poly(args) -> int:
@@ -142,13 +171,14 @@ def _cmd_q(args) -> int:
     if not (1 <= args.delta <= SEVERI_MAX_DELTA):
         raise ValueError(f"--delta must be in 1..{SEVERI_MAX_DELTA}")
     if args.route == "log":
+        _guard_d(args, SEVERI_MAX_D)
         value = q_delta_log(args.d, args.delta)
     else:
+        _guard_d(args, Q_TEMPLATES_MAX_D)
         value = q_delta_templates(args.d, args.delta)
-    record = _record(
-        "q", {"d": args.d, "delta": args.delta}, str(value), args.route, started
+    return _emit_value(
+        args, {"d": args.d, "delta": args.delta}, str(value), args.route, started
     )
-    return _emit_value(args, record)
 
 
 def _load_graph(args):
@@ -162,6 +192,11 @@ def _load_graph(args):
                 f"graph guarded at work <= {GRAPH_MAX_WORK}: the product of "
                 f"(length + 1) over its edges is larger"
             )
+    if args.command == "q-graph" and work > QGRAPH_MAX_WORK:
+        raise ValueError(
+            f"q-graph guarded at work <= {QGRAPH_MAX_WORK}: the product of "
+            f"(length + 1) over its edges is larger"
+        )
     if args.k:
         g = offset(g, args.k)
     return g
@@ -174,14 +209,13 @@ def _cmd_graph(args) -> int:
         count = n_graph
     else:
         from .qcalc import q_graph as count
-    record = _record(
-        args.command,
+    return _emit_value(
+        args,
         {"d": args.d, "file": args.graph, "k": args.k},
         str(count(g, args.d)),
         "templates",
         started,
     )
-    return _emit_value(args, record)
 
 
 def _cmd_verify(args) -> int:

@@ -69,21 +69,26 @@ def labeled_count(g: LongEdgeGraph, d: int) -> int:
     return sum(gap_product(w, dist) for dist in enumerate_distributions(g))
 
 
-def n_graph(g: LongEdgeGraph, d: int) -> int:
-    """Full weighted ordering count: multiplicity times the labeled count,
-    divided by the automorphism count.
+def _per_automorphism(g: LongEdgeGraph, labeled: int) -> int:
+    """A count over labeled edges divided by the automorphism count of g.
 
     The division is always exact (automorphisms act freely on labeled
     orderings); a remainder indicates a bug and aborts loudly.
     """
     alpha = automorphism_count(g)
-    q, r = divmod(multiplicity(g) * labeled_count(g, d), alpha)
+    q, r = divmod(labeled, alpha)
     if r:
         raise RuntimeError(
             f"internal invariant violation: automorphism count {alpha} "
-            f"does not divide weighted ordering sum for {g}"
+            f"does not divide the labeled count {labeled} for {g}"
         )
     return q
+
+
+def n_graph(g: LongEdgeGraph, d: int) -> int:
+    """Full weighted ordering count: multiplicity times the labeled count,
+    divided (exactly) by the automorphism count."""
+    return _per_automorphism(g, multiplicity(g) * labeled_count(g, d))
 
 
 def severi_series(d: int, delta: int) -> list[int]:

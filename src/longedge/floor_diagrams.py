@@ -14,11 +14,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .counting import orderings_oracle
+from .counting import _per_automorphism, orderings_oracle
 from .graphs import (
     LongEdgeGraph,
+    _content_lines,
+    _read_triples,
     allowable_profile,
-    automorphism_count,
     disjoint_union,
     make_graph,
     multiplicity,
@@ -163,15 +164,7 @@ def marking_count(diagram: FloorDiagram) -> int:
     extension of the diagram's long-edge graph, counted by the explicit
     ordering enumeration."""
     g = restored_long_edge(diagram)
-    labeled = orderings_oracle(g, diagram.degree)
-    alpha = automorphism_count(g)
-    q, r = divmod(labeled, alpha)
-    if r:
-        raise RuntimeError(
-            f"internal invariant violation: automorphism count {alpha} does "
-            f"not divide the labeled ordering count for {g}"
-        )
-    return q
+    return _per_automorphism(g, orderings_oracle(g, diagram.degree))
 
 
 def enumerate_floor_diagrams(d: int, delta: int) -> list[FloorDiagram]:
@@ -237,28 +230,16 @@ def fmcount(d: int, delta: int) -> int:
 def parse_diagram_text(text: str) -> FloorDiagram:
     """Parse the diagram text format: a "d=<n>" header line, then one
     "source target weight" line per edge."""
-    lines = [
-        (i, line.strip())
-        for i, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.strip().startswith("#")
-    ]
-    if not lines or not lines[0][1].replace(" ", "").startswith("d="):
+    lines = _content_lines(text)
+    lineno, raw = next(lines, (0, ""))
+    header = raw.strip().replace(" ", "")
+    if not header.startswith("d="):
         raise ValueError("diagram text must start with a 'd=<n>' header")
-    header = lines[0][1].replace(" ", "")
     try:
         degree = int(header[2:])
     except ValueError:
-        raise ValueError(f"line {lines[0][0]}: bad degree header {lines[0][1]!r}") from None
-    triples = []
-    for lineno, line in lines[1:]:
-        fields = line.split()
-        if len(fields) != 3:
-            raise ValueError(f"line {lineno}: expected 'source target weight'")
-        try:
-            triples.append(tuple(int(f) for f in fields))
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer field in {line!r}") from None
-    return make_diagram(degree, triples)
+        raise ValueError(f"line {lineno}: bad degree header {raw.strip()!r}") from None
+    return make_diagram(degree, _read_triples(lines, "source target weight", lambda *t: t))
 
 
 def format_diagram_text(diagram: FloorDiagram) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import total_ordering
 from math import factorial
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class Edge(NamedTuple):
@@ -210,26 +210,26 @@ def automorphism_count_with(g: LongEdgeGraph, dist: Sequence[int]) -> int:
     return alpha
 
 
-def _covered(g: LongEdgeGraph, v: int) -> bool:
-    return any(e.start < v < e.end for e in g.edges)
-
-
-def is_template(g: LongEdgeGraph) -> bool:
-    """Nonempty, left end at vertex 0, and every internal vertex covered
-    by an edge passing strictly over it."""
-    if g.is_empty:
-        return False
-    if not any(e.start == 0 for e in g.edges):
-        return False
-    return all(_covered(g, v) for v in range(1, g.right_end))
+def _uncovered(g: LongEdgeGraph) -> Iterator[int]:
+    """Vertices strictly between the two ends that no edge passes strictly
+    over, in increasing order: one pass over the sorted edges, tracking the
+    furthest end reached by the edges starting left of each vertex."""
+    reach = g.left_end + 1
+    for e in g.edges:
+        yield from range(reach, e.start + 1)
+        reach = max(reach, e.end)
 
 
 def is_offset_template(g: LongEdgeGraph) -> bool:
     """Nonempty with every vertex between the two ends covered, i.e. a
     template translated rightward by some amount."""
-    if g.is_empty:
-        return False
-    return all(_covered(g, v) for v in range(g.left_end + 1, g.right_end))
+    return not g.is_empty and next(_uncovered(g), None) is None
+
+
+def is_template(g: LongEdgeGraph) -> bool:
+    """Nonempty, left end at vertex 0, and every internal vertex covered
+    by an edge passing strictly over it."""
+    return is_offset_template(g) and g.left_end == 0
 
 
 def decompose(g: LongEdgeGraph) -> list[tuple[LongEdgeGraph, int]]:
@@ -241,9 +241,7 @@ def decompose(g: LongEdgeGraph) -> list[tuple[LongEdgeGraph, int]]:
     """
     if g.is_empty:
         return []
-    breaks = [g.left_end]
-    breaks += [v for v in range(g.left_end + 1, g.right_end) if not _covered(g, v)]
-    breaks.append(g.right_end)
+    breaks = [g.left_end, *_uncovered(g), g.right_end]
     parts: list[tuple[LongEdgeGraph, int]] = []
     for lo, hi in zip(breaks, breaks[1:]):
         segment = [e for e in g.edges if lo <= e.start and e.end <= hi]
@@ -263,30 +261,43 @@ def disjoint_union(parts: Iterable[LongEdgeGraph]) -> LongEdgeGraph:
     return LongEdgeGraph(tuple(sorted(edges)))
 
 
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line that is neither blank nor a "#"
+    comment, numbered from 1."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, raw
+
+
+def _read_triples(lines: Iterable[tuple[int, str]], fields: str, make: Callable) -> list:
+    """``make(a, b, c)`` on the three integers of each numbered line.  A
+    line without exactly three integer fields, or a ValueError from
+    ``make``, raises ValueError naming the line; ``fields`` names the three
+    fields in the message."""
+    out = []
+    for lineno, raw in lines:
+        parts = raw.split()
+        if len(parts) != 3:
+            raise ValueError(f"line {lineno}: expected '{fields}', got {raw!r}")
+        try:
+            a, b, c = (int(f) for f in parts)
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-integer field in {raw!r}") from None
+        try:
+            out.append(make(a, b, c))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return out
+
+
 def parse_graph_text(text: str) -> LongEdgeGraph:
     """Parse the one-edge-per-line text format: "start end weight".
 
     Lines starting with "#" and blank lines are ignored; an empty file is
     the empty graph.  Raises ValueError naming the offending line number.
     """
-    triples = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 3:
-            raise ValueError(f"line {lineno}: expected 'start end weight', got {raw!r}")
-        try:
-            s, e, w = (int(f) for f in fields)
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer field in {raw!r}") from None
-        try:
-            make_edge(s, e, w)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        triples.append((s, e, w))
-    return make_graph(triples)
+    return make_graph(_read_triples(_content_lines(text), "start end weight", make_edge))
 
 
 def format_graph_text(g: LongEdgeGraph) -> str:

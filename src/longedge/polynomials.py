@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .counting import severi_degree
 from .qcalc import q_delta_templates
@@ -154,6 +154,30 @@ def finite_difference_degree(values: Sequence) -> int:
         m += 1
 
 
+def _fit(name: str, value: Callable[[int, int], int | Fraction], delta: int, degree: int,
+         checks: int) -> RationalPolynomial:
+    """Polynomial in d through value(d, delta) at the degree + 1 points
+    d = delta+2, delta+3, ..., validated on ``checks`` further values of d
+    and required to have exactly the given degree.  A mismatch means the
+    sample window started below the polynomiality threshold and raises
+    naming the offending d."""
+    if not (1 <= delta <= MAX_DELTA):
+        raise ValueError(f"delta must be in 1..{MAX_DELTA}")
+    ds = range(delta + 2, delta + 3 + degree + checks)
+    poly = interpolate([(d, Fraction(value(d, delta))) for d in ds[: degree + 1]])
+    for d in ds[degree + 1 :]:
+        if poly(d) != value(d, delta):
+            raise RuntimeError(
+                f"{name} validation failed for delta={delta} at d={d}: "
+                f"interpolation window starts below the polynomiality threshold"
+            )
+    if poly.degree != degree:
+        raise RuntimeError(
+            f"{name} for delta={delta} has degree {poly.degree}, expected {degree}"
+        )
+    return poly
+
+
 def node_polynomial(delta: int) -> RationalPolynomial:
     """Polynomial in d giving the Severi degree for delta nodes at large d.
 
@@ -162,42 +186,10 @@ def node_polynomial(delta: int) -> RationalPolynomial:
     window started below the polynomiality threshold and raises naming the
     offending d.  Result has degree exactly 2*delta.
     """
-    if not (1 <= delta <= MAX_DELTA):
-        raise ValueError(f"delta must be in 1..{MAX_DELTA}")
-    base = delta + 2
-    points = [
-        (d, Fraction(severi_degree(d, delta))) for d in range(base, base + 2 * delta + 1)
-    ]
-    poly = interpolate(points)
-    for d in (base + 2 * delta + 1, base + 2 * delta + 2):
-        if poly(d) != severi_degree(d, delta):
-            raise RuntimeError(
-                f"node polynomial validation failed for delta={delta} at d={d}: "
-                f"interpolation window starts below the polynomiality threshold"
-            )
-    if poly.degree != 2 * delta:
-        raise RuntimeError(
-            f"node polynomial for delta={delta} has degree {poly.degree}, "
-            f"expected {2 * delta}"
-        )
-    return poly
+    return _fit("node polynomial", severi_degree, delta, 2 * delta, 2)
 
 
 def q_polynomial(delta: int) -> RationalPolynomial:
     """Quadratic in d matching the log coefficient for one cogenus at
     large d, interpolated from three values and validated on four more."""
-    if not (1 <= delta <= MAX_DELTA):
-        raise ValueError(f"delta must be in 1..{MAX_DELTA}")
-    base = delta + 2
-    points = [(d, q_delta_templates(d, delta)) for d in range(base, base + 3)]
-    poly = interpolate(points)
-    for d in range(base + 3, base + 7):
-        if poly(d) != q_delta_templates(d, delta):
-            raise RuntimeError(
-                f"quadratic validation failed for delta={delta} at d={d}"
-            )
-    if poly.degree > 2:
-        raise RuntimeError(
-            f"log-quantity polynomial for delta={delta} has degree {poly.degree} > 2"
-        )
-    return poly
+    return _fit("log-quantity polynomial", q_delta_templates, delta, 2, 4)

@@ -128,44 +128,29 @@ def q_delta_templates(d: int, delta: int) -> Fraction:
     return total
 
 
-def _series_log(coeffs: list[Fraction]) -> list[Fraction]:
-    """Formal log of a power series with constant term 1, same truncation."""
-    if coeffs[0] != 1:
-        raise ValueError("series log needs constant term 1")
-    q = [Fraction(0)] * len(coeffs)
-    for n in range(1, len(coeffs)):
-        acc = n * coeffs[n]
-        for j in range(1, n):
-            acc -= j * q[j] * coeffs[n - j]
-        q[n] = Fraction(acc, n)
-    return q
-
-
-def _series_exp(coeffs: list[Fraction]) -> list[Fraction]:
-    """Formal exp of a power series with constant term 0, same truncation."""
-    if coeffs[0] != 0:
-        raise ValueError("series exp needs constant term 0")
-    b = [Fraction(1)] + [Fraction(0)] * (len(coeffs) - 1)
-    for n in range(1, len(coeffs)):
-        acc = Fraction(0)
-        for j in range(1, n + 1):
-            acc += j * coeffs[j] * b[n - j]
-        b[n] = acc / n
-    return b
-
-
 def q_delta_log(d: int, delta: int) -> Fraction:
     """Log coefficient for one cogenus via the generating series: the
-    degree-delta coefficient of log(sum of Severi degrees x^cogenus)."""
+    degree-delta coefficient of log(sum of Severi degrees x^cogenus).
+
+    With N_n the Severi degrees (N_0 = 1) and Q_n the log coefficients,
+    Newton's identity n N_n = sum over j = 1..n of p_j N_(n-j) holds for
+    the integers p_j = j Q_j, so the recursion stays in integers and
+    divides once at the end.
+    """
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    return _series_log([Fraction(n) for n in severi_series(d, delta)])[delta]
+    n_series = severi_series(d, delta)
+    p = [0] * (delta + 1)
+    for n in range(1, delta + 1):
+        p[n] = n * n_series[n] - sum(p[j] * n_series[n - j] for j in range(1, n))
+    return Fraction(p[delta], delta)
 
 
 def exp_recover_n(d: int, delta: int, q_values: Mapping[int, Fraction]) -> int:
     """Invert the log: rebuild the Severi degree from the table of log
-    coefficients up to ``delta``.  The result must be an integer; anything
-    else is an invariant violation."""
+    coefficients up to ``delta``, by the same Newton identity solved for
+    N_n.  The result must be an integer; anything else is an invariant
+    violation."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
     if delta == 0:
@@ -173,8 +158,11 @@ def exp_recover_n(d: int, delta: int, q_values: Mapping[int, Fraction]) -> int:
     missing = [dd for dd in range(1, delta + 1) if dd not in q_values]
     if missing:
         raise ValueError(f"q_values table is missing cogenus entries {missing}")
-    series = [Fraction(0)] + [Fraction(q_values[dd]) for dd in range(1, delta + 1)]
-    out = _series_exp(series)[delta]
+    p = [0] + [j * Fraction(q_values[j]) for j in range(1, delta + 1)]
+    n_series = [Fraction(1)]
+    for n in range(1, delta + 1):
+        n_series.append(sum(p[j] * n_series[n - j] for j in range(1, n + 1)) / n)
+    out = n_series[delta]
     if out.denominator != 1:
         raise RuntimeError(
             f"internal invariant violation: exp of log coefficients gave "

@@ -4,11 +4,20 @@ for malformed graph and diagram text."""
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from longedge import LongEdgeGraph, make_graph
+
+# The tests that start a fresh interpreter need the package too: put
+# src/, which pyproject's pytest `pythonpath` gives this process, on the
+# PYTHONPATH they inherit.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 # (length, weight) pairs for a single edge of each small cogenus
 _EDGE_SHAPES = {

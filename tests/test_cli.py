@@ -214,6 +214,36 @@ class TestGraphCommands:
         assert out == ""
         assert "set partition enumeration guarded" in err
 
+    def test_q_graph_over_its_work_bound_exit_2(self, capsys, tmp_path, monkeypatch):
+        def forbidden(g, d):
+            raise AssertionError("a block was counted")
+
+        monkeypatch.setattr(qcalc, "labeled_count", forbidden)
+        # work 4^10 * 3^2 = 9,437,184: within GRAPH_MAX_WORK, over q-graph's
+        path = tmp_path / "chain.txt"
+        path.write_text(
+            "".join(f"{k} {k + 3} 1\n" for k in range(1, 11)) + "11 13 1\n12 14 1\n"
+        )
+        code, out, err = run_cli(capsys, "q-graph", "--graph", str(path), "--d", "15")
+        assert code == 2
+        assert out == ""
+        assert f"q-graph guarded at work <= {cli.QGRAPH_MAX_WORK}" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "".join(f"{k} {k + 1} 2\n" for k in range(2, 14)),  # work 2^12
+            "".join(f"{k} {k + 2} 1\n" for k in range(1, 13)),  # work 3^12
+        ],
+        ids=["12-stubs", "12-chain"],
+    )
+    def test_q_graph_twelve_edge_files_admitted(self, capsys, tmp_path, monkeypatch, text):
+        monkeypatch.setattr(qcalc, "labeled_count", lambda g, d: 0)
+        path = tmp_path / "graph.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "q-graph", "--graph", str(path), "--d", "25")
+        assert (code, out, err) == (0, "0\n", "")
+
     @pytest.mark.parametrize("command", ["n-graph", "q-graph"])
     def test_work_guard_exit_2(self, capsys, tmp_path, command):
         # one edge of length 10^7: work 10^7 + 1, just over the guard
@@ -229,6 +259,66 @@ class TestGraphCommands:
             capsys, "n-graph", "--graph", str(tmp_path / "nope.txt"), "--d", "5"
         )
         assert code == 2
+
+
+@pytest.fixture
+def walk_calls(monkeypatch):
+    """Stand-ins for the walks over d that record each call and count
+    nothing."""
+    import longedge.counting as counting
+
+    calls = []
+
+    def series(d, delta):
+        calls.append((d, delta))
+        return [1] + [0] * delta
+
+    def q_graph(g, d):
+        calls.append((g, d))
+        return 0
+
+    monkeypatch.setattr(counting, "severi_series", series)
+    monkeypatch.setattr(qcalc, "severi_series", series)
+    monkeypatch.setattr(qcalc, "q_graph", q_graph)
+    return calls
+
+
+class TestDGuard:
+    @pytest.mark.parametrize(
+        "argv, table",
+        [
+            (("severi",), "SEVERI_MAX_D"),
+            (("q", "--route", "log"), "SEVERI_MAX_D"),
+            (("q", "--route", "templates"), "Q_TEMPLATES_MAX_D"),
+        ],
+        ids=["severi", "q-log", "q-templates"],
+    )
+    def test_past_the_bound_exit_2(self, capsys, walk_calls, argv, table):
+        max_d = getattr(cli, table)
+        for delta in range(1 if argv[0] == "q" else 0, cli.SEVERI_MAX_DELTA + 1):
+            code, out, err = run_cli(
+                capsys, *argv, "--d", str(max_d[delta] + 1), "--delta", str(delta)
+            )
+            assert (code, out) == (2, "")
+            assert f"--d guarded at <= {max_d[delta]} for --delta {delta}" in err
+        assert walk_calls == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "severi --d 20000 --delta 1",
+            "severi --d 2000 --delta 2",
+            f"severi --d {cli.SEVERI_MAX_D[8]} --delta 8",
+            "severi --d 12 --delta 5",
+            "severi --d 8 --delta 6 --jobs 2",
+            "q --route log --d 11 --delta 5",
+            "q --route templates --d 11 --delta 5",
+        ],
+    )
+    def test_readme_and_benchmark_commands_admitted(self, capsys, walk_calls, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out, err) == (0, "0\n", "")
+        assert walk_calls
 
 
 class TestQCommand:

@@ -145,6 +145,14 @@ class TestNGraph:
             total = sum(n_star(g, dist, d) for dist in enumerate_distributions(g))
             assert (multiplicity(g) * total) % automorphism_count(g) == 0
 
+    def test_remainder_is_an_invariant_violation(self, monkeypatch):
+        import longedge.counting as counting
+
+        monkeypatch.setattr(counting, "labeled_count", lambda g, d: 1)
+        pair = make_graph([(1, 3, 1), (1, 3, 1)])  # automorphism count 2
+        with pytest.raises(RuntimeError, match="automorphism count 2 does not divide"):
+            n_graph(pair, 3)
+
     def test_per_distribution_refinement(self):
         # summing mu/alpha(G, D) * n_star over one representative per
         # distribution shape gives the same count as the labeled route

@@ -192,6 +192,16 @@ class TestMarkings:
         assert marking_count(diagram) == 5
         assert fd_multiplicity(diagram) * marking_count(diagram) == n_graph(cyc(2), 3)
 
+    def test_remainder_is_an_invariant_violation(self, monkeypatch):
+        import longedge.floor_diagrams as floor_diagrams
+
+        monkeypatch.setattr(floor_diagrams, "orderings_oracle", lambda g, d: 1)
+        # vertex 2 has divergence -1, so it gets two identical top-up
+        # edges (2, 4, 1): automorphism count 2
+        diagram = make_diagram(3, [(1, 2, 1)])
+        with pytest.raises(RuntimeError, match="automorphism count 2 does not divide"):
+            marking_count(diagram)
+
 
 class TestEnumeration:
     def test_degree_three_cogenus_one(self):

@@ -13,6 +13,7 @@ from longedge import (
     q_polynomial,
     severi_degree,
 )
+import longedge.polynomials as polynomials
 from longedge.polynomials import finite_differences
 
 ONE_NODE_POLY = RationalPolynomial.from_coefficients([3, -6, 3])  # 3(d-1)^2
@@ -140,3 +141,24 @@ class TestQPolynomial:
         assert poly.degree <= 2
         for d in range(delta + 2, delta + 9):
             assert poly(d) == q_delta_templates(d, delta)
+
+
+# node_polynomial(1) fits d = 3, 4, 5 and checks 6, 7; q_polynomial(1)
+# fits the same points and checks 6..9.  The stand-in value functions
+# follow 3(d - 1)^2, the true cogenus-1 answer of both, except where noted.
+@pytest.mark.parametrize(
+    "name, fit, last_check",
+    [("severi_degree", node_polynomial, 7), ("q_delta_templates", q_polynomial, 9)],
+)
+class TestFitWindow:
+    def test_value_off_the_polynomial_names_d(self, monkeypatch, name, fit, last_check):
+        monkeypatch.setattr(
+            polynomials, name, lambda d, delta: 3 * (d - 1) ** 2 + (d == last_check)
+        )
+        with pytest.raises(RuntimeError, match=f"delta=1 at d={last_check}:"):
+            fit(1)
+
+    def test_degree_below_expected_raises(self, monkeypatch, name, fit, last_check):
+        monkeypatch.setattr(polynomials, name, lambda d, delta: 3 * d)
+        with pytest.raises(RuntimeError, match="has degree 1, expected 2"):
+            fit(1)
