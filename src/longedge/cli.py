@@ -20,18 +20,22 @@ and Q_TEMPLATES_MAX_D for q --route templates) they exit 2.
 Each command imports only the modules it runs: graphs, templates and
 counting at start-up; qcalc, polynomials, floor_diagrams and acceptance
 inside the handlers that use them (and `import longedge` itself loads
-each submodule on first use).  On the same box, importing this module
-went from ~69 to ~22 ms, and a fresh severi --d 1 --delta 0 from a median
-153 to 107 ms (30 alternating spawns each).
+each submodule on first use).  Of the standard library, start-up needs
+only what those modules import, sys, time and types: options are read by
+one table, COMMANDS, not argparse, json is imported only under --json,
+and graph files are opened without pathlib.  Options are given whole
+(--name value or --name=value); prefixes such as --del are not accepted.
+On a 2-vCPU box, without bytecode caches, a fresh severi --d 1 --delta 0
+took a median 79.7 ms with argparse and 71.4 ms with the table (60
+interleaved spawns; `python -c pass` 56.5 ms), and 43.4 and 31.5 ms under
+`python -S` (30 spawns; 8.2 ms).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
-from pathlib import Path
+from types import SimpleNamespace
 
 from .counting import severi_degree, n_graph
 from .graphs import (
@@ -77,6 +81,8 @@ Q_TEMPLATES_MAX_D = {
 def _emit_value(args, params: dict, value: str, method: str, started: float) -> int:
     """Print the value, or with --json its record; exit code 0."""
     if args.json:
+        import json
+
         print(json.dumps({
             "command": args.command,
             "params": params,
@@ -103,6 +109,8 @@ def _cmd_templates(args) -> int:
         raise ValueError(f"--delta must be in 0..{TEMPLATES_MAX_DELTA}")
     catalog = enumerate_templates(args.delta)
     if args.json:
+        import json
+
         # one record at a time, the same bytes as json.dumps of the list
         encode = json.JSONEncoder(sort_keys=True).encode
         sys.stdout.write("[")
@@ -147,6 +155,8 @@ def _cmd_node_poly(args) -> int:
     started = time.perf_counter()
     poly = node_polynomial(args.delta)
     if args.json:
+        import json
+
         record = {
             "command": "node-poly",
             "params": {"delta": args.delta},
@@ -182,8 +192,8 @@ def _cmd_q(args) -> int:
 
 
 def _load_graph(args):
-    text = Path(args.graph).read_text(encoding="utf-8")
-    g = parse_graph_text(text)
+    with open(args.graph, encoding="utf-8") as f:
+        g = parse_graph_text(f.read())
     work = 1
     for e in g.edges:
         work *= e.length + 1
@@ -223,6 +233,8 @@ def _cmd_verify(args) -> int:
 
     outcomes = run_criteria(args.level)
     if args.json:
+        import json
+
         payload = [
             {
                 "name": o.name,
@@ -244,70 +256,128 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """Argument type of --d and --jobs: an integer >= 1, else exit 2."""
+def _integer(text: str) -> int:
+    """Option type of --delta and --k: any integer, else exit 2."""
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    """Option type of --d and --jobs: an integer >= 1, else exit 2."""
+    value = _integer(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise ValueError(f"must be >= 1, got {value}")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="longedge",
-        description="Exact Severi degrees and log-series quantities from long-edge graphs",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_REQUIRED = None
+_D = {"--d": (_positive_int, _REQUIRED)}
+_DELTA = {"--delta": (_integer, _REQUIRED)}
+# --k: an extra rightward offset of the graph
+_GRAPH = {"--graph": (str, _REQUIRED), **_D, "--k": (_integer, 0)}
 
-    p = sub.add_parser("templates", help="list all templates of one cogenus")
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_templates)
+# command: (handler, help, options).  An option maps to (type, default): a
+# callable converts the value and raises ValueError on a bad one, a tuple
+# lists the choices, bool marks a flag, and a default of _REQUIRED makes
+# the option required.  Every command also takes the flag --json.
+COMMANDS = {
+    "templates": (_cmd_templates, "list all templates of one cogenus", _DELTA),
+    "severi": (_cmd_severi, "Severi degree N^{d,delta}", {
+        **_D, **_DELTA,
+        "--method": (("templates", "floor"), "templates"),
+        "--jobs": (_positive_int, 1),  # ignored
+    }),
+    "node-poly": (_cmd_node_poly, "node polynomial for a node count", _DELTA),
+    "q": (_cmd_q, "log-series coefficient Q^{d,delta}", {
+        **_D, **_DELTA, "--route": (("templates", "log"), "templates"),
+    }),
+    "n-graph": (_cmd_graph, "weighted ordering count of a graph file", _GRAPH),
+    "q-graph": (_cmd_graph, "log quantity of a graph file", _GRAPH),
+    "verify": (_cmd_verify, "run the acceptance criteria", {
+        "--level": (("quick", "full"), "quick"),
+    }),
+}
+_TOP_USAGE = "usage: longedge [-h] {" + ",".join(COMMANDS) + "} ..."
 
-    p = sub.add_parser("severi", help="Severi degree N^{d,delta}")
-    p.add_argument("--d", type=_positive_int, required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--method", choices=("templates", "floor"), default="templates")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="ignored")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_severi)
 
-    p = sub.add_parser("node-poly", help="node polynomial for a node count")
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_node_poly)
+def _usage(command: str, options: dict) -> str:
+    words = ["usage: longedge", command, "[-h]"]
+    for name, (kind, default) in options.items():
+        shown = name if kind is bool else f"{name} " + (
+            "{" + ",".join(kind) + "}" if type(kind) is tuple else name[2:].upper())
+        words.append(shown if default is _REQUIRED else f"[{shown}]")
+    return " ".join(words)
 
-    p = sub.add_parser("q", help="log-series coefficient Q^{d,delta}")
-    p.add_argument("--d", type=_positive_int, required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--route", choices=("templates", "log"), default="templates")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_q)
 
-    for name, text in (
-        ("n-graph", "weighted ordering count of a graph file"),
-        ("q-graph", "log quantity of a graph file"),
-    ):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--graph", required=True)
-        p.add_argument("--d", type=_positive_int, required=True)
-        p.add_argument("--k", type=int, default=0, help="extra rightward offset")
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(handler=_cmd_graph)
+def _exit_usage(prog: str, usage: str, message: str):
+    """Print the usage and the error on stderr and exit 2, as argparse does."""
+    print(f"{usage}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
-    p = sub.add_parser("verify", help="run the acceptance criteria")
-    p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_verify)
 
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command's handler and option values, read by the COMMANDS table.
+
+    --help prints the usage and exits 0; a usage error exits 2 naming the
+    option, or the command.  Options are given whole, as --name value or
+    --name=value; a repeated option keeps its last value.
+    """
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        print(f"{_TOP_USAGE}\n\nExact Severi degrees and log-series quantities "
+              "from long-edge graphs\n\ncommands:")
+        for name, (_, text, _) in COMMANDS.items():
+            print(f"  {name:11s} {text}")
+        raise SystemExit(0)
+    if command not in COMMANDS:
+        _exit_usage("longedge", _TOP_USAGE, "the following arguments are required: command"
+                    if command is None else f"argument command: invalid choice: {command!r}"
+                    f" (choose from {', '.join(map(repr, COMMANDS))})")
+    handler, text, options = COMMANDS[command]
+    options = {**options, "--json": (bool, False)}
+    usage = _usage(command, options)
+
+    def fail(message: str):
+        _exit_usage(f"longedge {command}", usage, message)
+
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(f"{usage}\n\n{text}")
+            raise SystemExit(0)
+        name, explicit, value = token.partition("=")
+        if name not in options:
+            fail(f"unrecognized arguments: {token}")
+        kind = options[name][0]
+        if kind is bool:
+            if explicit:
+                fail(f"argument {name}: ignored explicit argument {value!r}")
+            values[name] = True
+            continue
+        if not explicit:
+            value = next(tokens, None)
+            if value is None or (value.startswith("-") and not value[1:2].isdecimal()):
+                fail(f"argument {name}: expected one argument")
+        try:
+            if type(kind) is tuple and value not in kind:
+                raise ValueError(f"invalid choice: {value!r} "
+                                 f"(choose from {', '.join(map(repr, kind))})")
+            values[name] = value if type(kind) is tuple else kind(value)
+        except ValueError as exc:
+            fail(f"argument {name}: {exc}")
+    missing = [n for n, (_, d) in options.items() if d is _REQUIRED and n not in values]
+    if missing:
+        fail(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=command, handler=handler, **{
+        name[2:]: values.get(name, default) for name, (_, default) in options.items()
+    })
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -27,10 +29,77 @@ def run_cli(capsys, *argv):
 
 
 def usage_error(capsys, *argv):
-    """Exit code and stderr of a command that argparse rejects."""
+    """Exit code and stderr of a command that the parser rejects."""
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     return exc.value.code, capsys.readouterr().err
+
+
+def names(word, text):
+    """Whether text holds word whole, not as part of a longer option or
+    command name (--d is not named by --delta)."""
+    return re.search(rf"(?<![\w-]){re.escape(word)}(?![\w-])", text) is not None
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv, offending",
+        [
+            ((), "command"),
+            (("sever", "--d", "4", "--delta", "1"), "sever"),
+            (("severi", "--delta", "1"), "--d"),
+            (("severi", "--d", "4"), "--delta"),
+            (("n-graph", "--d", "4"), "--graph"),
+            (("severi", "--d", "4", "--delta", "x"), "--delta"),
+            (("q-graph", "--graph", "g.txt", "--d", "4", "--k", "1.5"), "--k"),
+            (("severi", "--d", "0", "--delta", "1"), "--d"),
+            (("severi", "--d", "4", "--delta", "1", "--method", "graph"), "--method"),
+            (("q", "--d", "4", "--delta", "1", "--route", "floor"), "--route"),
+            (("verify", "--level", "slow"), "--level"),
+            (("severi", "--d", "4", "--delta", "1", "--depth", "2"), "--depth"),
+            (("severi", "--delta", "1", "--d"), "--d"),
+            (("n-graph", "--graph", "--d", "4"), "--graph"),
+        ],
+        ids=[
+            "no-command", "unknown-command", "missing-d", "missing-delta",
+            "missing-graph", "delta-not-int", "k-not-int", "d-zero", "bad-method",
+            "bad-route", "bad-level", "unknown-option", "d-without-value",
+            "graph-without-value",
+        ],
+    )
+    def test_exit_2_naming_the_offender(self, capsys, argv, offending):
+        code, err = usage_error(capsys, *argv)
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        message = err.strip().splitlines()[-1]
+        assert message.startswith("longedge") and ": error: " in message
+        assert names(offending, message)
+
+    @pytest.mark.parametrize(
+        "argv, listed",
+        [
+            (("--help",), ("templates", "severi", "node-poly", "q", "n-graph", "q-graph", "verify")),
+            (("severi", "--help"), ("--d", "--delta", "--method", "--jobs", "--json")),
+            (("q-graph", "-h"), ("--graph", "--d", "--k", "--json")),
+        ],
+        ids=["top", "severi", "q-graph"],
+    )
+    def test_help_exit_0(self, capsys, argv, listed):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert all(names(word, out) for word in listed)
+
+    def test_name_equals_value(self, capsys):
+        code, out, _ = run_cli(capsys, "severi", "--d=5", "--delta=1", "--method=templates")
+        assert (code, out) == (0, "48\n")
+
+    def test_abbreviation_is_unknown(self, capsys):
+        # options are matched whole: --del is not --delta
+        code, err = usage_error(capsys, "severi", "--d", "5", "--del", "1")
+        assert code == 2
+        assert names("--del", err.strip().splitlines()[-1])
 
 
 class TestSeveri:
@@ -416,26 +485,30 @@ class TestEntryPoint:
 
     def test_commands_load_only_the_modules_they_run(self):
         """severi and templates never load the Q, polynomial, floor-diagram
-        or acceptance modules, nor dataclasses or fractions."""
+        or acceptance modules, nor dataclasses or fractions, nor the
+        argument-parsing, json and path modules of the standard library.
+        Without site (-S) nothing but the interpreter's own start-up is
+        loaded before the snapshot."""
         script = (
-            "import json, sys\n"
+            "import sys\n"
             "before = set(sys.modules)\n"
             "from longedge.cli import main\n"
             "for argv in (['severi', '--d', '1', '--delta', '0'],\n"
             "             ['severi', '--d', '12', '--delta', '5'],\n"
             "             ['templates', '--delta', '3']):\n"
             "    assert main(argv) == 0\n"
-            "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+            "print(repr(sorted(set(sys.modules) - before)))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert lines[:2] == ["1", "36161763120"]
-        loaded = set(json.loads(lines[-1]))
+        loaded = set(ast.literal_eval(lines[-1]))
         assert "longedge.counting" in loaded
         unused = {
             "longedge.qcalc", "longedge.polynomials", "longedge.floor_diagrams",
             "longedge.acceptance", "dataclasses", "fractions",
+            "argparse", "gettext", "locale", "json", "pathlib",
         }
         assert not unused & loaded
 
